@@ -173,7 +173,12 @@ class Bench {
   Tracer* tracer() { return trace_ ? &tracer_ : nullptr; }
   double seconds() const { return p_.Num("seconds"); }
 
+  std::unique_ptr<Engine> SetupOnce(bool build_stream);
   void Setup();
+  // One more set-up, timed and discarded, between two measured runs: the
+  // set-up samples then spread over the whole measuring time rather than
+  // the fraction of a second a cheap set-up takes back to back.
+  void InterleaveSetup();
   QueryRun RunQuery(const StreamQuery& q, int64_t qid, size_t threads,
                     Tracer* tracer);
   PassLedger RunPass(size_t threads, Tracer* tracer,
@@ -222,63 +227,72 @@ class Bench {
   std::map<std::string, double> info_;
 };
 
-void Bench::Setup() {
-  const size_t reps = p_.Size("setup_reps");
+std::unique_ptr<Engine> Bench::SetupOnce(bool build_stream) {
   // Like TPC-H's dbgen, the data of a scale factor is fixed (the
   // generator's default seed); the benchmark seed drives the query
   // stream, the arrivals and the faults.
   nipo::TpchConfig cfg;
   cfg.scale_factor = p_.Num("sf");
+  const auto t0 = Clock::now();
+  auto db = [&] {
+    ScopedSpan span(tracer(), "tpch", "GenerateTpch");
+    return nipo::GenerateTpch(cfg);
+  }();
+  if (!db.ok()) {
+    std::cerr << db.status().ToString() << "\n";
+    std::exit(1);
+  }
+  nipo::TpchDatabase tables = std::move(db).ValueOrDie();
+  if (with_q1()) {
+    ScopedSpan span(tracer(), "tpch", "AddQ1GroupColumn");
+    if (!nipo::AddQ1GroupColumn(tables.lineitem.get()).ok()) std::exit(1);
+  }
+  auto engine = std::make_unique<Engine>();
+  {
+    ScopedSpan span(tracer(), "core", "RegisterTable");
+    for (auto* t : {&tables.lineitem, &tables.orders, &tables.part}) {
+      if (!engine->RegisterTable(std::move(*t)).ok()) std::exit(1);
+    }
+  }
+  const double gen_s = SecondsSince(t0);
+
+  // The stream and its expectations come from the plain tables, before
+  // encoding; every set-up builds identical data, so one build suffices.
+  // Not part of the set-up time.
+  if (build_stream) {
+    ScopedSpan span(tracer(), "bench", "BuildStreamAndOracle");
+    const DataStats stats = ComputeDataStats(*engine);
+    nipo::Prng prng(seed_ * 0x9E3779B97F4A7C15ull + 1);
+    oracle_agrees_ =
+        AppendPatterns(*engine, stats, p_.Size("patterns"),
+                       p_.List("intro_strata"), with_q1(), &prng, &stream_);
+  }
+
+  double encode_s = 0;
+  if (p_.Num("encode") != 0) {
+    const auto t1 = Clock::now();
+    ScopedSpan span(tracer(), "core", "EncodeTable");
+    auto stats = engine->EncodeTable("lineitem");
+    if (!stats.ok()) std::exit(1);
+    encoding_ = stats.ValueOrDie();
+    encode_s = SecondsSince(t1);
+  }
+  gen_s_.push_back(gen_s);
+  encode_s_.push_back(encode_s);
+  setup_s_.push_back(gen_s + encode_s);
+  return engine;
+}
+
+void Bench::Setup() {
+  const size_t reps = p_.Size("setup_reps");
   for (size_t rep = 0; rep < reps; ++rep) {
     engine_.reset();  // bound peak memory to one copy of the data
-    const auto t0 = Clock::now();
-    auto db = [&] {
-      ScopedSpan span(tracer(), "tpch", "GenerateTpch");
-      return nipo::GenerateTpch(cfg);
-    }();
-    if (!db.ok()) {
-      std::cerr << db.status().ToString() << "\n";
-      std::exit(1);
-    }
-    nipo::TpchDatabase tables = std::move(db).ValueOrDie();
-    if (with_q1()) {
-      ScopedSpan span(tracer(), "tpch", "AddQ1GroupColumn");
-      if (!nipo::AddQ1GroupColumn(tables.lineitem.get()).ok()) std::exit(1);
-    }
-    engine_ = std::make_unique<Engine>();
-    {
-      ScopedSpan span(tracer(), "core", "RegisterTable");
-      for (auto* t : {&tables.lineitem, &tables.orders, &tables.part}) {
-        if (!engine_->RegisterTable(std::move(*t)).ok()) std::exit(1);
-      }
-    }
-    const double gen_s = SecondsSince(t0);
-
-    // The stream and its expectations come from the plain tables, before
-    // encoding; every repetition builds identical data, so the last one's
-    // suffice. Not part of the set-up time.
-    if (rep + 1 == reps) {
-      ScopedSpan span(tracer(), "bench", "BuildStreamAndOracle");
-      const DataStats stats = ComputeDataStats(*engine_);
-      nipo::Prng prng(seed_ * 0x9E3779B97F4A7C15ull + 1);
-      oracle_agrees_ =
-          AppendPatterns(*engine_, stats, p_.Size("patterns"),
-                         p_.List("intro_strata"), with_q1(), &prng, &stream_);
-    }
-
-    double encode_s = 0;
-    if (p_.Num("encode") != 0) {
-      const auto t1 = Clock::now();
-      ScopedSpan span(tracer(), "core", "EncodeTable");
-      auto stats = engine_->EncodeTable("lineitem");
-      if (!stats.ok()) std::exit(1);
-      encoding_ = stats.ValueOrDie();
-      encode_s = SecondsSince(t1);
-    }
-    gen_s_.push_back(gen_s);
-    encode_s_.push_back(encode_s);
-    setup_s_.push_back(gen_s + encode_s);
+    engine_ = SetupOnce(rep + 1 == reps);
   }
+}
+
+void Bench::InterleaveSetup() {
+  if (p_.Num("setup_interleave") != 0) SetupOnce(false);
 }
 
 QueryRun Bench::RunQuery(const StreamQuery& q, int64_t qid, size_t threads,
@@ -488,6 +502,7 @@ void Bench::RunPool() {
     host_ms.push_back(1e3 * wall / static_cast<double>(n));
     ok += CheckWorkload(spec, r);
     if (host_ms.size() == 1) first = std::move(r);
+    InterleaveSetup();
   } while (SecondsSince(t0) < seconds());
 
   // Host figures are medians over the batches, which filters bursts of
@@ -568,13 +583,20 @@ void Bench::RunService() {
     CheckWorkload(specs[mid][0], ExecuteWorkload(specs[mid][0], nullptr));
   }
 
-  // One whole sweep over every (rate, trial), then the runs keep cycling
-  // until the measuring time is used up. Host throughput uses each run's
-  // median wall over its repetitions.
+  // One whole sweep over every (trial, rate), then the runs keep cycling
+  // until the measuring time is used up. The sweep goes trial by trial,
+  // every rate within a trial, so each rate's runs spread over the whole
+  // measuring time and a slow stretch of the host does not fall on one
+  // rate alone. Host throughput uses each run's median wall over its
+  // repetitions.
   const size_t n = stream_.queries.size();
-  std::vector<const WorkloadSpec*> runs;
-  for (const auto& rate_specs : specs) {
-    for (const WorkloadSpec& spec : rate_specs) runs.push_back(&spec);
+  struct ServiceRun {
+    size_t rate;
+    const WorkloadSpec* spec;
+  };
+  std::vector<ServiceRun> runs;
+  for (size_t k = 0; k < trials; ++k) {
+    for (size_t i = 0; i < rates.size(); ++i) runs.push_back({i, &specs[i][k]});
   }
   std::vector<std::vector<double>> walls(runs.size());
   std::vector<double> host_ms;
@@ -582,24 +604,22 @@ void Bench::RunService() {
   size_t ok_first = 0, attempted_first = 0, executed = 0;
   const auto t0 = Clock::now();
   for (size_t k = 0; k < runs.size() || SecondsSince(t0) < seconds(); ++k) {
-    const WorkloadSpec& spec = *runs[k % runs.size()];
+    const ServiceRun& run = runs[k % runs.size()];
     const auto t1 = Clock::now();
-    WorkloadReport r = ExecuteWorkload(spec, tracer());
+    WorkloadReport r = ExecuteWorkload(*run.spec, tracer());
     const double wall = SecondsSince(t1);
     walls[k % runs.size()].push_back(wall);
     // Per-query host time at the middle rate, like the latency figures:
     // runs at the top rate shed most queries and cost far less.
-    if ((k % runs.size()) / trials == mid) {
-      host_ms.push_back(1e3 * wall / static_cast<double>(n));
-    }
+    if (run.rate == mid) host_ms.push_back(1e3 * wall / static_cast<double>(n));
     ++executed;
     const size_t before = attempted_;
-    const size_t ok = CheckWorkload(spec, r);
+    const size_t ok = CheckWorkload(*run.spec, r);
+    InterleaveSetup();
     if (k >= runs.size()) continue;
     ok_first += ok;
     attempted_first += attempted_ - before;
-    const size_t rate = k / trials;
-    first[rate].push_back(std::move(r));
+    first[run.rate].push_back(std::move(r));
   }
   double sweep_s = 0;
   for (const auto& w : walls) sweep_s += Median(w);
