@@ -7,11 +7,13 @@
 ///
 /// The headline is *simulated* queries/sec from the deterministic
 /// schedule replay, so the numbers are bit-stable on any host; host
-/// wall-clock of the pool region is reported alongside. Two gates make
+/// wall-clock of the pool region is reported alongside. Three gates make
 /// the sweep trustworthy: every query's counters must be bit-identical
-/// across all admission configurations (deterministic mode), and the
-/// widest configuration must actually improve aggregate throughput over
-/// the serial one.
+/// across all admission configurations (deterministic mode), no
+/// configuration may build more simulated machines than it admits at
+/// once (machines are recycled across queries), and the widest
+/// configuration must actually improve aggregate throughput over the
+/// serial one.
 ///
 /// Run with `--json` (ci/check.sh does, in --quick smoke form) to write
 /// BENCH_workload_throughput.json for the perf trajectory
@@ -124,8 +126,9 @@ int main(int argc, char** argv) {
   TablePrinter table("Workload throughput, " + std::to_string(num_queries) +
                      " mixed queries over " + std::to_string(rows) +
                      " lineitems, 4 workers");
-  table.SetHeader({"max concurrent", "peak in flight", "sim makespan msec",
-                   "sim queries/s", "speedup", "wall msec"});
+  table.SetHeader({"max concurrent", "peak in flight", "machines built",
+                   "sim makespan msec", "sim queries/s", "speedup",
+                   "wall msec"});
 
   struct ConfigResult {
     size_t max_concurrent = 0;
@@ -153,12 +156,16 @@ int main(int argc, char** argv) {
       NIPO_CHECK(config.report.queries[i].drive.qualifying_tuples ==
                  serial.queries[i].drive.qualifying_tuples);
     }
+    // Machine-recycling gate: finished queries hand their reset machines
+    // to later admissions, so a run never builds one machine per query.
+    NIPO_CHECK(config.report.machines_built <= config.max_concurrent);
   }
 
   for (const ConfigResult& config : results) {
     const WorkloadReport& r = config.report;
     table.AddRow({std::to_string(config.max_concurrent),
                   std::to_string(r.peak_in_flight),
+                  std::to_string(r.machines_built),
                   FormatDouble(r.sim_makespan_msec, 3),
                   FormatDouble(r.sim_queries_per_sec, 1),
                   FormatDouble(serial.sim_makespan_msec / r.sim_makespan_msec,
@@ -167,7 +174,8 @@ int main(int argc, char** argv) {
                   FormatDouble(r.wall_msec, 1)});
   }
   table.Print(std::cout);
-  std::cout << "counters: bit-identical across all admission configs\n";
+  std::cout << "counters: bit-identical across all admission configs\n"
+            << "machines: at most max_concurrent built per config\n";
 
   // Throughput gate: widening admission onto the 4-worker pool must beat
   // the serialized schedule on aggregate simulated queries/sec.
@@ -183,6 +191,8 @@ int main(int argc, char** argv) {
                             static_cast<uint64_t>(config.max_concurrent))
                        .Add("peak_in_flight",
                             static_cast<uint64_t>(r.peak_in_flight))
+                       .Add("machines_built",
+                            static_cast<uint64_t>(r.machines_built))
                        .Add("sim_makespan_msec", r.sim_makespan_msec)
                        .Add("sim_queries_per_sec", r.sim_queries_per_sec)
                        .Add("sim_serial_msec", r.sim_serial_msec)

@@ -134,7 +134,7 @@ Result<ExecReport> Engine::Execute(const QuerySpec& query,
       return Status::InvalidArgument("morsel_size must be positive");
     }
     pcfg.morsel_size = options.vector_size;
-    ParallelDriver pdriver(NewMachine(), factory, pcfg);
+    ParallelDriver pdriver(machine_recipe(), factory, pcfg);
     // Query and order errors propagate from the driver, which compiles
     // every worker executor and applies the order before any thread
     // starts.
@@ -169,7 +169,7 @@ Result<ExecReport> Engine::Execute(const QuerySpec& query,
   ParallelProgressiveCoordinator coordinator(control.get(),
                                              options.progressive);
   pcfg.morsel_size = options.progressive.vector_size;  // the sampling unit
-  ParallelDriver pdriver(NewMachine(), factory, pcfg);
+  ParallelDriver pdriver(machine_recipe(), factory, pcfg);
   ParallelProgressiveReport sub;
   NIPO_ASSIGN_OR_RETURN(
       sub.drive, pdriver.Run(options.order,
@@ -331,7 +331,7 @@ Result<WorkloadReport> Engine::Execute(const WorkloadSpec& spec) const {
     tasks.push_back(std::move(task));
   }
   WorkloadDriver driver(
-      NewMachine(),
+      machine_recipe(),
       [this, &spec](size_t index, Pmu* pmu) {
         return CompileQuery(spec.queries[index].query, pmu,
                             InstrumentationMode::kPmu);

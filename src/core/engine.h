@@ -277,15 +277,15 @@ class Engine {
   /// latency figure stays bit-stable. Shim over Execute(WorkloadSpec).
   Result<WorkloadReport> ExecuteWorkload(const WorkloadSpec& spec) const;
 
-  /// Builds the fresh simulated machine every execution runs on (cold
-  /// caches, neutral predictor). Single-threaded entry points run on this
-  /// machine directly; the parallel driver clones it per worker
-  /// (Pmu::CloneFresh), so the two paths cannot drift apart.
-  Pmu NewMachine() const {
-    Pmu pmu(hw_);
-    pmu.set_reporting_mode(reporting_mode_);
-    return pmu;
-  }
+  /// The recipe of every simulated machine an execution runs on: the
+  /// engine's hardware description and reporting mode. The parallel and
+  /// workload drivers keep it and build their machines from it, so every
+  /// path runs on identically configured machines.
+  MachineRecipe machine_recipe() const { return {hw_, reporting_mode_}; }
+
+  /// Builds the fresh simulated machine (cold caches, neutral predictor)
+  /// the single-threaded entry points run on.
+  Pmu NewMachine() const { return Pmu(machine_recipe()); }
 
  private:
   Result<std::unique_ptr<PipelineExecutor>> CompileQuery(

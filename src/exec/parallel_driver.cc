@@ -81,9 +81,9 @@ struct OrderBroadcast {
 
 }  // namespace
 
-ParallelDriver::ParallelDriver(const Pmu& prototype, ExecutorFactory factory,
+ParallelDriver::ParallelDriver(MachineRecipe recipe, ExecutorFactory factory,
                                ParallelConfig config)
-    : prototype_(prototype.CloneFresh()),
+    : recipe_(recipe),
       factory_(std::move(factory)),
       config_(config) {}
 
@@ -109,7 +109,7 @@ Result<ParallelDriveResult> ParallelDriver::Run(
   pmus.reserve(num_workers);
   executors.reserve(num_workers);
   for (size_t w = 0; w < num_workers; ++w) {
-    pmus.push_back(std::make_unique<Pmu>(prototype_.CloneFresh()));
+    pmus.push_back(std::make_unique<Pmu>(recipe_));
     if (config_.machine_hook != nullptr) {
       config_.machine_hook(w, pmus.back().get());
     }

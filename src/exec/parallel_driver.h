@@ -5,6 +5,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -19,11 +20,12 @@
 /// The fact table is split into fixed-size *morsels* (the parallel analogue
 /// of vector_driver.h's vectors); N worker threads claim morsels from
 /// contiguous per-worker ranges with work-stealing, and every worker owns a
-/// complete private simulated machine (Pmu::CloneFresh: its own caches,
-/// branch predictor and cycle accounting) plus a thread-local
-/// PipelineExecutor. This mirrors real morsel-driven engines, where each
-/// core samples its own PMU around each morsel (the same PAPI-per-morsel
-/// pattern vector_driver.h cites) and cores do not share L1/L2 state.
+/// complete private simulated machine (built fresh from the driver's
+/// MachineRecipe: its own caches, branch predictor and cycle accounting)
+/// plus a thread-local PipelineExecutor. This mirrors real morsel-driven
+/// engines, where each core samples its own PMU around each morsel (the
+/// same PAPI-per-morsel pattern vector_driver.h cites) and cores do not
+/// share L1/L2 state.
 ///
 /// The merge step is deterministic in the *result* domain: per-morsel
 /// VectorResults are recorded by morsel index and summed in index order, so
@@ -124,10 +126,15 @@ class ParallelDriver {
   using MorselHook =
       std::function<std::optional<std::vector<size_t>>(const MorselRecord&)>;
 
-  /// \param prototype machine configuration donor; every worker machine is
-  ///        prototype.CloneFresh() (cold caches, neutral predictor).
-  ParallelDriver(const Pmu& prototype, ExecutorFactory factory,
+  /// \param recipe every worker machine is built fresh from it (cold
+  ///        caches, neutral predictor).
+  ParallelDriver(MachineRecipe recipe, ExecutorFactory factory,
                  ParallelConfig config);
+  /// Same, with `prototype.recipe()`: only the prototype's configuration
+  /// and reporting mode are kept, never its state.
+  ParallelDriver(const Pmu& prototype, ExecutorFactory factory,
+                 ParallelConfig config)
+      : ParallelDriver(prototype.recipe(), std::move(factory), config) {}
 
   /// Executes the whole table across the configured worker count.
   /// `initial_order`, if given, is applied to every worker's executor
@@ -139,7 +146,7 @@ class ParallelDriver {
   const ParallelConfig& config() const { return config_; }
 
  private:
-  Pmu prototype_;
+  MachineRecipe recipe_;
   ExecutorFactory factory_;
   ParallelConfig config_;
 };

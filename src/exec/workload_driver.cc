@@ -52,8 +52,10 @@ struct QueryRun {
   const WorkloadTask* task = nullptr;
   size_t slot = 0;  ///< admission slot (machine owner in warm mode)
 
-  /// The query's machine: privately owned in deterministic mode, the
-  /// admission slot's long-lived machine in warm mode.
+  /// The query's machine: taken from the run's MachinePool in
+  /// deterministic mode (and returned to it, reset, once the query is
+  /// done), the admission slot's long-lived machine in warm mode. Null
+  /// once the query no longer runs.
   std::unique_ptr<Pmu> owned_pmu;
   Pmu* pmu = nullptr;
   std::unique_ptr<PipelineExecutor> exec;
@@ -223,8 +225,8 @@ struct EventLoopHooks {
   std::function<void(size_t)> on_admit;
   std::function<void(size_t)> on_complete;
   /// A transient fault is being retried: reset the query's execution
-  /// state (fresh machine, recompiled pipeline, fresh optimizer) so the
-  /// next dispatch restarts the query from row zero.
+  /// state (machine reset to the fresh state, recompiled pipeline, fresh
+  /// optimizer) so the next dispatch restarts the query from row zero.
   std::function<void(size_t)> on_retry;
   std::function<uint64_t(size_t)> live_footprint;
 };
@@ -691,9 +693,41 @@ SimSchedule SimulateWorkloadSchedule(
                           EventLoopHooks{}, nullptr);
 }
 
-WorkloadDriver::WorkloadDriver(const Pmu& prototype, ExecutorFactory factory,
+/// The per-run free list of query machines. Take() hands out a machine in
+/// exactly the Pmu(recipe) state: a recycled one when the list has one,
+/// otherwise a newly built one. Put() takes back a machine its releaser
+/// has already reset with Pmu::ResetMachine, which the releasing worker
+/// does outside any lock. A run therefore builds only as many machines as
+/// it holds at once, at most max_concurrent. Not synchronized: the
+/// threaded pool calls it under its scheduler mutex.
+class WorkloadDriver::MachinePool {
+ public:
+  explicit MachinePool(const MachineRecipe& recipe) : recipe_(recipe) {}
+
+  std::unique_ptr<Pmu> Take() {
+    if (free_.empty()) {
+      ++built_;
+      return std::make_unique<Pmu>(recipe_);
+    }
+    std::unique_ptr<Pmu> pmu = std::move(free_.back());
+    free_.pop_back();
+    return pmu;
+  }
+
+  void Put(std::unique_ptr<Pmu> pmu) { free_.push_back(std::move(pmu)); }
+
+  /// Machines constructed so far (the report's machines_built).
+  size_t built() const { return built_; }
+
+ private:
+  MachineRecipe recipe_;
+  std::vector<std::unique_ptr<Pmu>> free_;
+  size_t built_ = 0;
+};
+
+WorkloadDriver::WorkloadDriver(MachineRecipe recipe, ExecutorFactory factory,
                                WorkloadOptions options)
-    : prototype_(prototype.CloneFresh()),
+    : recipe_(recipe),
       factory_(std::move(factory)),
       options_(options) {
   NIPO_CHECK(factory_ != nullptr);
@@ -703,7 +737,7 @@ SchedulePolicyConfig WorkloadDriver::PolicyConfig(
     const std::vector<WorkloadTask>& tasks) const {
   SchedulePolicyConfig cfg;
   cfg.policy = options_.policy;
-  cfg.l3_capacity_bytes = prototype_.config().l3.capacity_bytes;
+  cfg.l3_capacity_bytes = recipe_.hw.l3.capacity_bytes;
   cfg.tasks.reserve(tasks.size());
   for (const WorkloadTask& task : tasks) {
     cfg.tasks.push_back(
@@ -791,19 +825,23 @@ Result<WorkloadReport> WorkloadDriver::Run(
   }
 
   const size_t n = tasks.size();
+  MachinePool machines(recipe_);
   // Validation pass: compile every task against a scratch machine and
   // apply its initial order, so unknown tables / bad orders surface
   // before any thread starts. Admission-time compiles repeat the same
-  // inputs and therefore cannot fail.
+  // inputs and therefore cannot fail. The scratch machine is the pool's
+  // first, reset and recycled for the first admission.
   {
-    Pmu scratch = prototype_.CloneFresh();
+    std::unique_ptr<Pmu> scratch = machines.Take();
     for (size_t i = 0; i < n; ++i) {
       NIPO_ASSIGN_OR_RETURN(std::unique_ptr<PipelineExecutor> exec,
-                            factory_(i, &scratch));
+                            factory_(i, scratch.get()));
       if (tasks[i].initial_order.has_value()) {
         NIPO_RETURN_NOT_OK(exec->Reorder(*tasks[i].initial_order));
       }
     }
+    scratch->ResetMachine();
+    machines.Put(std::move(scratch));
   }
 
   // Anything that shapes execution or feedback through the schedule —
@@ -814,7 +852,7 @@ Result<WorkloadReport> WorkloadDriver::Run(
   if (options_.contention || options_.adaptive_admission ||
       options_.arrival.kind != ArrivalKind::kClosed ||
       FaultModeRequested(options_, tasks)) {
-    return RunEventDriven(tasks);
+    return RunEventDriven(tasks, &machines);
   }
 
   const size_t num_slots = options_.max_concurrent;
@@ -853,12 +891,12 @@ Result<WorkloadReport> WorkloadDriver::Run(
       run.slot = free_slots.back();
       free_slots.pop_back();
       if (options_.deterministic) {
-        run.owned_pmu = std::make_unique<Pmu>(prototype_.CloneFresh());
+        run.owned_pmu = machines.Take();
         run.pmu = run.owned_pmu.get();
       } else {
         std::unique_ptr<Pmu>& slot = slot_machines[run.slot];
         if (slot == nullptr) {
-          slot = std::make_unique<Pmu>(prototype_.CloneFresh());
+          slot = machines.Take();
         } else {
           slot->ResetCounters();  // keep warm caches and predictor state
         }
@@ -920,6 +958,11 @@ Result<WorkloadReport> WorkloadDriver::Run(
         run->drive.num_vectors = run->vector_index;
         run->drive.total = run->pmu->Read() - run->run_begin;
         run->drive.simulated_msec = run->pmu->ToMilliseconds(run->drive.total);
+        // Recycle the machine: reset it here, on the releasing worker and
+        // outside the lock, so the admission below takes a machine in
+        // exactly the freshly built state.
+        if (run->owned_pmu != nullptr) run->owned_pmu->ResetMachine();
+        run->pmu = nullptr;
       }
       {
         std::lock_guard<std::mutex> lock(mu);
@@ -929,6 +972,9 @@ Result<WorkloadReport> WorkloadDriver::Run(
           in_flight_set.erase(std::find(in_flight_set.begin(),
                                         in_flight_set.end(), index));
           free_slots.push_back(run->slot);
+          if (run->owned_pmu != nullptr) {
+            machines.Put(std::move(run->owned_pmu));
+          }
           admit_locked();
           cv.notify_all();
         } else {
@@ -964,6 +1010,7 @@ Result<WorkloadReport> WorkloadDriver::Run(
   for (size_t i = 0; i < n; ++i) quanta[i] = runs[i].quantum_msec;
   WorkloadReport report =
       AssembleReport(tasks, &runs, options_, wall_msec, peak_in_flight);
+  report.machines_built = machines.built();
   const SimSchedule schedule = SimulateWorkloadSchedule(
       quanta, options_.num_threads, options_.max_concurrent, policy_cfg);
   ApplySchedule(schedule, &report);
@@ -971,15 +1018,15 @@ Result<WorkloadReport> WorkloadDriver::Run(
 }
 
 Result<WorkloadReport> WorkloadDriver::RunEventDriven(
-    const std::vector<WorkloadTask>& tasks) {
+    const std::vector<WorkloadTask>& tasks, MachinePool* machines) {
   const size_t n = tasks.size();
-  // Contention mode: one shared L3, sized like the prototype's, with one
+  // Contention mode: one shared L3, sized like the recipe's, with one
   // owner id per query (the query index). Machines keep their private
   // L1/L2. Null when contention=off — queries then run interference-free
   // (the event loop only shapes *when* quanta run, not what they cost).
   std::unique_ptr<SharedCacheDomain> domain;
   if (options_.contention) {
-    domain = std::make_unique<SharedCacheDomain>(prototype_.config().l3);
+    domain = std::make_unique<SharedCacheDomain>(recipe_.hw.l3);
     for (size_t i = 0; i < n; ++i) {
       domain->RegisterOwner(tasks[i].name.empty() ? "q" + std::to_string(i)
                                                   : tasks[i].name);
@@ -1034,12 +1081,12 @@ Result<WorkloadReport> WorkloadDriver::RunEventDriven(
     run.slot = free_slots.back();
     free_slots.pop_back();
     if (options_.deterministic) {
-      run.owned_pmu = std::make_unique<Pmu>(prototype_.CloneFresh());
+      run.owned_pmu = machines->Take();
       run.pmu = run.owned_pmu.get();
     } else {
       std::unique_ptr<Pmu>& slot = slot_machines[run.slot];
       if (slot == nullptr) {
-        slot = std::make_unique<Pmu>(prototype_.CloneFresh());
+        slot = machines->Take();
       } else {
         slot->ResetCounters();  // keep warm private caches and predictor
       }
@@ -1067,20 +1114,21 @@ Result<WorkloadReport> WorkloadDriver::RunEventDriven(
   };
   hooks.on_retry = [&](size_t index) {
     // A transient fault is being retried: the query restarts from
-    // scratch. The failed attempt's machine state is discarded (fresh
-    // clone in deterministic mode; counter reset on the warm slot
-    // machine), the pipeline recompiles, and a progressive query gets a
-    // fresh optimizer — exactly the admission sequence, minus the slot
-    // bookkeeping (the query keeps its slot through the backoff).
+    // scratch. The failed attempt's machine state is discarded (in
+    // deterministic mode the machine is recycled in place, reset to the
+    // freshly built state; the warm slot machine only resets counters),
+    // the pipeline recompiles, and a progressive query gets a fresh
+    // optimizer — exactly the admission sequence, minus the slot
+    // bookkeeping (the query keeps its slot and its machine through the
+    // backoff).
     QueryRun& run = runs[index];
     ++attempt_no[index];
     quantum_in_attempt[index] = 0;
     run.error = Status::OK();
-    if (domain != nullptr) run.pmu->AttachSharedL3(nullptr, 0);
     if (options_.deterministic) {
-      run.owned_pmu = std::make_unique<Pmu>(prototype_.CloneFresh());
-      run.pmu = run.owned_pmu.get();
+      run.pmu->ResetMachine();  // also detaches the shared L3
     } else {
+      if (domain != nullptr) run.pmu->AttachSharedL3(nullptr, 0);
       run.pmu->ResetCounters();
     }
     if (domain != nullptr) {
@@ -1231,6 +1279,11 @@ Result<WorkloadReport> WorkloadDriver::RunEventDriven(
         run.pmu->AttachSharedL3(nullptr, 0);
         finished_owners.push_back(static_cast<uint32_t>(index));
       }
+      if (run.owned_pmu != nullptr) {
+        run.owned_pmu->ResetMachine();
+        machines->Put(std::move(run.owned_pmu));
+      }
+      run.pmu = nullptr;
     }
     if (domain != nullptr) {
       // Live occupancy: resident lines minus finished owners' residue
@@ -1277,6 +1330,7 @@ Result<WorkloadReport> WorkloadDriver::RunEventDriven(
   }
   WorkloadReport report =
       AssembleReport(tasks, &runs, options_, wall_msec, peak_in_flight);
+  report.machines_built = machines->built();
   ApplySchedule(schedule, &report);
   if (domain != nullptr) {
     report.shared_l3_capacity_lines = domain->capacity_lines();

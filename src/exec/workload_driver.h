@@ -30,11 +30,17 @@
 /// granularity — the workload analogue of the parallel driver's morsel
 /// scheduling (exec/parallel_driver.h) with queries in place of shards.
 ///
-/// Every query owns a complete private simulated machine (Pmu::CloneFresh:
-/// cold caches, neutral predictor) and, when progressive, its own
-/// optimizer, so each query re-optimizes independently from its own
-/// counter windows while running concurrently with the others. Because a
-/// query's vectors execute strictly in order on that private state — no
+/// Every query runs on a complete private simulated machine in exactly
+/// the freshly built state (cold caches, neutral predictor, zero
+/// counters) and, when progressive, its own optimizer, so each query
+/// re-optimizes independently from its own counter windows while running
+/// concurrently with the others. Machines are recycled, not rebuilt: each
+/// run keeps a free list, a query's machine goes back on it — reset with
+/// Pmu::ResetMachine, which equals a fresh build exactly — once the query
+/// is done (a retried attempt resets its machine in place), and the next
+/// admission takes it. A run therefore builds at most `max_concurrent`
+/// machines (WorkloadReport::machines_built), not one per query. Because
+/// a query's vectors execute strictly in order on that private state — no
 /// matter which worker runs which quantum — its results and counters are
 /// **bit-identical to running it alone single-threaded** through
 /// Engine::ExecuteBaseline / ExecuteProgressive. That is the driver's
@@ -139,9 +145,12 @@ struct WorkloadOptions {
   /// Vectors a worker executes on a claimed query before yielding it back
   /// to the ready queue (the scheduling quantum).
   size_t burst_vectors = 1;
-  /// Deterministic mode (default): every query runs on a fresh private
-  /// machine, so its results and counters are bit-identical to a solo
-  /// single-threaded run, and all simulated aggregates are bit-stable.
+  /// Deterministic mode (default): every query runs on a private machine
+  /// in exactly the freshly built state — a machine recycled from an
+  /// earlier query of the run and reset (Pmu::ResetMachine), or a new one
+  /// while fewer than `max_concurrent` exist — so its results and
+  /// counters are bit-identical to a solo single-threaded run, and all
+  /// simulated aggregates are bit-stable.
   /// When false, the `max_concurrent` admission slots own long-lived
   /// machines that carry cache and predictor state from one query to the
   /// next (Pmu::ResetCounters keeps warm state, like a real core between
@@ -337,6 +346,11 @@ struct WorkloadReport {
   /// simulated backoff waits.
   size_t total_retries = 0;
   double total_backoff_msec = 0;
+  /// Simulated machines the run constructed, the validation pass's
+  /// scratch machine included. Finished queries' machines are recycled,
+  /// so this is at most max_concurrent, however many queries and retries
+  /// the run has.
+  size_t machines_built = 0;
 };
 
 /// \brief The deterministic simulated schedule of a workload, replayed
@@ -458,15 +472,14 @@ class WorkloadDriver {
   /// Compiles task `index`'s pipeline against the machine it was admitted
   /// on. Called under the scheduler lock, once per admission (plus once
   /// per task, against a scratch machine, for the up-front validation
-  /// pass).
+  /// pass, and once per retried attempt).
   using ExecutorFactory =
       std::function<Result<std::unique_ptr<PipelineExecutor>>(size_t index,
                                                               Pmu* pmu)>;
 
-  /// \param prototype machine-configuration donor; every query machine
-  ///        (deterministic mode) or slot machine (warm mode) is
-  ///        prototype.CloneFresh().
-  WorkloadDriver(const Pmu& prototype, ExecutorFactory factory,
+  /// \param recipe every query machine (deterministic mode) or slot
+  ///        machine (warm mode) starts in the state of Pmu(recipe).
+  WorkloadDriver(MachineRecipe recipe, ExecutorFactory factory,
                  WorkloadOptions options);
 
   /// Executes every task to completion. Compile and validation errors of
@@ -480,15 +493,17 @@ class WorkloadDriver {
   /// itself, at their simulated dispatch points. Used whenever the
   /// schedule shapes execution or feedback — contention mode (shared L3
   /// domain), open-loop arrivals, adaptive admission — in any
-  /// combination.
-  Result<WorkloadReport> RunEventDriven(const std::vector<WorkloadTask>& tasks);
+  /// combination. Takes its machines from Run()'s pool.
+  class MachinePool;
+  Result<WorkloadReport> RunEventDriven(const std::vector<WorkloadTask>& tasks,
+                                        MachinePool* machines);
 
   /// The scheduling-field view of `tasks` plus this driver's policy and
-  /// L3 budget (prototype L3 capacity).
+  /// L3 budget (the recipe's L3 capacity).
   SchedulePolicyConfig PolicyConfig(
       const std::vector<WorkloadTask>& tasks) const;
 
-  Pmu prototype_;
+  MachineRecipe recipe_;
   ExecutorFactory factory_;
   WorkloadOptions options_;
 };

@@ -221,7 +221,21 @@ bool CacheLevel::Contains(uint64_t line_addr) const {
 }
 
 void CacheLevel::Clear() {
-  for (Way& w : slots_) w = Way{};
+  // Every operation that changes a way or an MRU hint also advances
+  // tick_, so a level whose clock still reads zero has held nothing since
+  // its last clear: free to clear, like the private L3 of a machine
+  // attached to a shared domain. Otherwise, since a fill takes its set's
+  // first empty way and only Clear() empties ways, a set's lines occupy a
+  // prefix of its ways; emptying just those prefixes restores the
+  // constructed state in at most one pass, reading only way 0 of a set
+  // that was never filled.
+  if (tick_ == 0) return;
+  for (size_t s = 0; s < num_sets_; ++s) {
+    Way* set = &slots_[s * ways_];
+    for (uint32_t w = 0; w < ways_ && set[w].tag != kEmptyTag; ++w) {
+      set[w] = Way{};
+    }
+  }
   std::fill(mru_.begin(), mru_.end(), 0u);
   tick_ = 0;
 }

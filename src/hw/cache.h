@@ -100,7 +100,9 @@ class CacheLevel {
   /// for prefetch-avoidance checks).
   bool Contains(uint64_t line_addr) const;
 
-  /// Drops all contents.
+  /// Drops all contents (not the hit/miss stats; see ResetStats). Costs
+  /// O(1) for a level not filled since its last clear, and otherwise at
+  /// most one pass: a write per resident line, a read per empty set.
   void Clear();
 
   /// The set a line maps to. Exposed so tests can construct colliding

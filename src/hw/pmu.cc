@@ -120,6 +120,10 @@ Pmu::Pmu(HwConfig config)
                     : -1;
 }
 
+Pmu::Pmu(const MachineRecipe& recipe) : Pmu(recipe.hw) {
+  reporting_mode_ = recipe.reporting_mode;
+}
+
 void Pmu::SyncCacheStats(PmuCounters* c) const {
   const CacheStats delta = caches_.stats() - cache_baseline_;
   c->l1_accesses = delta.l1_accesses;
@@ -172,12 +176,14 @@ void Pmu::ResetCounters() {
 }
 
 void Pmu::ResetMachine() {
-  ResetCounters();
-  predictor_.Reset();
-  // Clears the private hierarchy only; a shared domain belongs to the
-  // workload, not to one machine, and is cleared by its owner.
+  // A fresh clone is never attached. Detaching also stops ResetCounters
+  // from reading a domain that may no longer exist; the domain itself
+  // belongs to the workload, not to one machine, and is cleared by its
+  // owner.
+  AttachSharedL3(nullptr, 0);
+  predictor_ = BranchPredictor(config_.predictor);
   caches_.Clear();
-  cache_baseline_ = CacheStats{};
+  ResetCounters();
 }
 
 void Pmu::AttachSharedL3(SharedCacheDomain* domain, uint32_t owner) {

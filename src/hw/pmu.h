@@ -117,6 +117,14 @@ enum class ReportingMode : int {
   kBatched,  ///< run coalescing + closed-form predictor updates
 };
 
+/// \brief Everything a fresh machine is built from: the hardware
+/// description plus the event-booking mode. Drivers that build machines
+/// on demand keep this recipe, never a built machine to copy from.
+struct MachineRecipe {
+  HwConfig hw;
+  ReportingMode reporting_mode = ReportingMode::kBatched;
+};
+
 /// \brief The simulated PMU: one predictor + one cache hierarchy + cycle
 /// accounting, shared by all operators of a running query.
 ///
@@ -127,19 +135,21 @@ class Pmu {
  public:
   explicit Pmu(HwConfig config = HwConfig::XeonE5_2630v2());
 
+  /// Builds a fresh machine from `recipe`: cold caches, neutral
+  /// predictor, zero counters, detached from any shared L3.
+  explicit Pmu(const MachineRecipe& recipe);
+
   const HwConfig& config() const { return config_; }
 
+  /// The recipe this machine was built from (its configuration and
+  /// current reporting mode).
+  MachineRecipe recipe() const { return {config_, reporting_mode_}; }
+
   /// Creates a fresh machine with the same configuration and reporting
-  /// mode: cold caches, neutral predictor, zero counters. This is the
-  /// per-worker machine construction path of the parallel driver
-  /// (exec/parallel_driver.h): every worker thread gets an identically
-  /// configured private core. ResetMachine() is the in-place equivalent
-  /// for a machine that is reused rather than cloned.
-  Pmu CloneFresh() const {
-    Pmu fresh(config_);
-    fresh.reporting_mode_ = reporting_mode_;
-    return fresh;
-  }
+  /// mode: Pmu(recipe()). ResetMachine() is the exact in-place
+  /// equivalent for a machine that is recycled rather than rebuilt (the
+  /// workload driver's per-run free list, exec/workload_driver.h).
+  Pmu CloneFresh() const { return Pmu(recipe()); }
 
   ReportingMode reporting_mode() const { return reporting_mode_; }
   void set_reporting_mode(ReportingMode mode) { reporting_mode_ = mode; }
@@ -228,7 +238,14 @@ class Pmu {
   /// (a real PMU reset does not flush the caches either).
   void ResetCounters();
 
-  /// Full machine reset: counters, predictor history, cache contents.
+  /// Full machine reset to exactly the CloneFresh() state: detaches any
+  /// shared L3, clears counters, drops predictor sites and history, and
+  /// empties every private cache level. A following event stream
+  /// produces the same counters and cache contents as on a fresh clone
+  /// (PmuTest.ResetMachineMatchesCloneFresh). Costs O(1) per cache level
+  /// not filled since its last clear and at most one pass over any other
+  /// level — far below building a machine, whose simulated-L3 ways alone
+  /// are megabytes of zeroed memory.
   void ResetMachine();
 
   /// Simulated wall-clock milliseconds for `counters`.

@@ -86,6 +86,36 @@ TEST(CacheLevelTest, ClearDropsContents) {
   EXPECT_FALSE(level.Contains(3));
 }
 
+// Clear() empties only the filled prefix of each set; a cleared level
+// must still behave exactly like a newly constructed one, however full it
+// was (full sets with evictions, several clear cycles, a clear of an
+// untouched level).
+TEST(CacheLevelTest, ClearRestoresConstructedState) {
+  const CacheGeometry g = Tiny(1024, 2);  // 8 sets, 2 ways
+  CacheLevel level(g);
+  level.Clear();  // untouched level: nothing to drop
+  EXPECT_EQ(level.occupied_lines(), 0u);
+  auto touch = [](CacheLevel* l) {
+    uint64_t hits = 0;
+    for (uint64_t line = 0; line < 40; ++line) {
+      hits += l->AccessFill(line * 7 % 29) ? 1 : 0;
+      l->FillIfAbsent(line + 100);
+    }
+    return hits;
+  };
+  for (int cycle = 0; cycle < 3; ++cycle) {
+    touch(&level);
+    EXPECT_EQ(level.occupied_lines(), 16u);  // every way of every set
+    level.Clear();
+    EXPECT_EQ(level.occupied_lines(), 0u);
+    level.ResetStats();
+    CacheLevel fresh(g);
+    EXPECT_EQ(touch(&level), touch(&fresh));
+    EXPECT_EQ(level.misses(), fresh.misses());
+    level.Clear();
+  }
+}
+
 CacheHierarchy SmallHierarchy(bool prefetch) {
   return CacheHierarchy(Tiny(1024, 2), Tiny(4096, 4), Tiny(16384, 4),
                         prefetch);

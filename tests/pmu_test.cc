@@ -4,6 +4,9 @@
 
 #include <vector>
 
+#include "common/prng.h"
+#include "hw/shared_cache.h"
+
 namespace nipo {
 namespace {
 
@@ -102,6 +105,84 @@ TEST(PmuTest, ResetMachineColdensCaches) {
   pmu.OnLoad(data.data(), 4);
   pmu.ResetMachine();
   EXPECT_EQ(pmu.OnLoad(data.data(), 4), MemoryLevel::kMemory);
+}
+
+/// A fixed event stream: streaming and gathered loads over `data` that
+/// overflow the caches of ScaledXeon(64) (so lines get prefetched and
+/// evicted), plus branch runs that train three predictor sites.
+void RunFixedStream(Pmu* pmu, const std::vector<int64_t>& data) {
+  pmu->EnsureBranchSites(3);
+  Prng prng(7);
+  std::vector<uint32_t> rows(512);
+  for (size_t round = 0; round < 4; ++round) {
+    pmu->OnSequentialLoads(data.data(), 8, data.size());
+    for (uint32_t& r : rows) {
+      r = static_cast<uint32_t>(prng.NextBounded(data.size()));
+    }
+    pmu->OnGatherLoads(data.data(), 8, rows.data(), rows.size());
+    for (size_t site = 0; site < 3; ++site) {
+      pmu->OnBranchRun(site, (round + site) % 2 == 0, 5 + site);
+      pmu->OnBranch(site, round % 3 == 0);
+    }
+    pmu->OnInstructions(100);
+  }
+}
+
+/// Counters plus per-level hits, misses and resident lines must match.
+void ExpectSameMachine(const Pmu& actual, const Pmu& expected) {
+  EXPECT_EQ(actual.Read(), expected.Read());
+  const CacheLevel* a[] = {&actual.caches().l1(), &actual.caches().l2(),
+                           &actual.caches().l3()};
+  const CacheLevel* e[] = {&expected.caches().l1(), &expected.caches().l2(),
+                           &expected.caches().l3()};
+  for (size_t level = 0; level < 3; ++level) {
+    EXPECT_EQ(a[level]->hits(), e[level]->hits()) << "L" << level + 1;
+    EXPECT_EQ(a[level]->misses(), e[level]->misses()) << "L" << level + 1;
+    EXPECT_EQ(a[level]->occupied_lines(), e[level]->occupied_lines())
+        << "L" << level + 1;
+  }
+}
+
+TEST(PmuTest, ResetMachineMatchesCloneFresh) {
+  const Pmu prototype(HwConfig::ScaledXeon(64));
+  std::vector<int64_t> data(40'000);
+  for (size_t i = 0; i < data.size(); ++i) data[i] = static_cast<int64_t>(i);
+
+  Pmu fresh = prototype.CloneFresh();
+  RunFixedStream(&fresh, data);
+
+  // Dirtied by the same stream (so any residue would show up as extra
+  // hits): prefetched lines, trained predictor sites, spare sites, raw
+  // cycles, and an attachment to a shared L3 that ended in a detach.
+  Pmu recycled = prototype.CloneFresh();
+  {
+    SharedCacheDomain domain(prototype.config().l3);
+    domain.RegisterOwner("q0");
+    recycled.AttachSharedL3(&domain, 0);
+    RunFixedStream(&recycled, data);
+    recycled.AttachSharedL3(nullptr, 0);
+  }
+  RunFixedStream(&recycled, data);
+  recycled.EnsureBranchSites(8);
+  recycled.ChargeCycles(123.0);
+  recycled.ResetMachine();
+  EXPECT_EQ(recycled.predictor().num_sites(), 0u);
+  RunFixedStream(&recycled, data);
+  ExpectSameMachine(recycled, fresh);
+
+  // Still attached when its domain dies: the reset detaches without
+  // reading the dead domain, like a fresh clone, which is never attached.
+  Pmu orphaned = prototype.CloneFresh();
+  {
+    SharedCacheDomain domain(prototype.config().l3);
+    domain.RegisterOwner("q0");
+    orphaned.AttachSharedL3(&domain, 0);
+    RunFixedStream(&orphaned, data);
+  }
+  orphaned.ResetMachine();
+  EXPECT_FALSE(orphaned.shared_l3_attached());
+  RunFixedStream(&orphaned, data);
+  ExpectSameMachine(orphaned, fresh);
 }
 
 TEST(PmuTest, SnapshotSubtraction) {

@@ -557,6 +557,38 @@ TEST(ServiceFaultsTest, FaultyScheduleReplaysExactly) {
   EXPECT_EQ(replay.makespan_msec, report.sim_makespan_msec);
 }
 
+TEST(ServiceFaultsTest, ContendedOpenLoopRetriesRecycleMachines) {
+  Engine engine = MakeFaultEngine();
+  const WorkloadSpec mixed = MakeMixedWorkload(engine);
+  // Three rounds of the mixed set: 18 queries over 3 admission slots.
+  WorkloadSpec spec;
+  for (int round = 0; round < 3; ++round) {
+    spec.queries.insert(spec.queries.end(), mixed.queries.begin(),
+                        mixed.queries.end());
+  }
+  spec.options.num_threads = 2;
+  spec.options.max_concurrent = 3;
+  spec.options.contention = true;
+  spec.options.audit_contention = true;
+  spec.options.arrival.kind = ArrivalKind::kPoisson;
+  spec.options.arrival.rate_qps = 20'000;
+  spec.options.faults.seed = 99;
+  spec.options.faults.transient_fault_rate = 0.05;
+  spec.options.retry.max_attempts = 4;
+  spec.options.retry.backoff_base_msec = 0.5;
+  spec.options.retry.backoff_cap_msec = 8.0;
+  ASSERT_GE(spec.queries.size(), 4 * spec.options.max_concurrent);
+  auto result = engine.ExecuteWorkload(spec);
+  ASSERT_TRUE(result.ok());
+  const WorkloadReport& report = result.ValueOrDie();
+  // The fixture is tuned so that queries overlap and faults retry.
+  EXPECT_EQ(report.peak_in_flight, spec.options.max_concurrent);
+  EXPECT_GT(report.total_retries, 0u);
+  // Terminal queries and retried attempts recycle their machines.
+  EXPECT_GE(report.machines_built, 1u);
+  EXPECT_LE(report.machines_built, spec.options.max_concurrent);
+}
+
 // ---------------------------------------------------------------------------
 // Unit behaviour: backoff arithmetic, fault draws, the shedder.
 // ---------------------------------------------------------------------------

@@ -171,6 +171,48 @@ TEST(WorkloadDriverTest, DeterministicModeIsBitIdenticalToSoloRuns) {
   }
 }
 
+TEST(WorkloadDriverTest, RecycledMachinesBoundConstructionAndMatchSolo) {
+  Engine engine = MakeWorkloadEngine();
+  const WorkloadSpec mixed = MakeMixedWorkload(engine);
+  std::vector<DriveResult> solo;
+  for (const WorkloadQuery& q : mixed.queries) {
+    solo.push_back(SoloDrive(engine, q));
+  }
+  // Two rounds of the mixed set: 16 queries, so every machine is
+  // recycled several times at each admission limit below.
+  WorkloadSpec spec = mixed;
+  spec.queries.insert(spec.queries.end(), mixed.queries.begin(),
+                      mixed.queries.end());
+  for (size_t threads : TestThreadCounts()) {
+    for (size_t max_concurrent : {size_t{1}, size_t{2}, size_t{4}}) {
+      ASSERT_GE(spec.queries.size(), 4 * max_concurrent);
+      spec.options.num_threads = threads;
+      spec.options.max_concurrent = max_concurrent;
+      auto result = engine.ExecuteWorkload(spec);
+      ASSERT_TRUE(result.ok());
+      const WorkloadReport& report = result.ValueOrDie();
+      EXPECT_GE(report.machines_built, 1u);
+      EXPECT_LE(report.machines_built, max_concurrent)
+          << threads << " threads";
+      // A recycled machine is exactly a fresh one: every query still
+      // reproduces its solo run bit for bit.
+      for (size_t i = 0; i < spec.queries.size(); ++i) {
+        const DriveResult& ref = solo[i % solo.size()];
+        EXPECT_EQ(report.queries[i].drive.total, ref.total)
+            << report.queries[i].name << ", " << threads << " threads, "
+            << max_concurrent << " admitted";
+        EXPECT_EQ(report.queries[i].drive.aggregate, ref.aggregate);
+      }
+    }
+  }
+  // Warm slot machines come from the same pool: one per slot at most.
+  spec.options.deterministic = false;
+  spec.options.max_concurrent = 2;
+  auto warm = engine.ExecuteWorkload(spec);
+  ASSERT_TRUE(warm.ok());
+  EXPECT_LE(warm.ValueOrDie().machines_built, 2u);
+}
+
 TEST(WorkloadDriverTest, ReportIsStableAcrossMaxConcurrentAndRuns) {
   Engine engine = MakeWorkloadEngine();
   WorkloadSpec spec = MakeMixedWorkload(engine);
