@@ -40,7 +40,7 @@ int main() {
     NIPO_CHECK(stats.ok());
     const StaticPlan plan = PlanStatically(query.ops, stats.ValueOrDie());
     ExecOptions static_opt;
-    static_opt.vector_size = kVectorSize;
+    static_opt.progressive.vector_size = kVectorSize;
     static_opt.order = plan.order;
     auto static_run = engine.Execute(query, static_opt);
     NIPO_CHECK(static_run.ok());

@@ -73,7 +73,7 @@ inline std::vector<double> PermutationSweep(const Engine& engine,
                                             size_t vector_size) {
   std::vector<double> ms;
   ExecOptions options;
-  options.vector_size = vector_size;
+  options.progressive.vector_size = vector_size;
   for (const auto& order : AllOrders(query.ops.size())) {
     options.order = order;
     auto r = engine.Execute(query, options);

@@ -18,7 +18,7 @@ int main() {
   const size_t kVectorSize = 2'048;  // ~147 vectors at this scale
 
   ExecOptions base_opt;
-  base_opt.vector_size = kVectorSize;
+  base_opt.progressive.vector_size = kVectorSize;
   ExecOptions prog_opt;
   prog_opt.mode = ExecMode::kProgressive;
   prog_opt.progressive.vector_size = kVectorSize;

@@ -86,7 +86,7 @@ int main() {
     };
 
     ExecOptions options;
-    options.vector_size = 8'192;
+    options.progressive.vector_size = 8'192;
     options.order = std::vector<size_t>{0, 1};
     auto sel_first = engine.Execute(query, options);
     options.order = std::vector<size_t>{1, 0};

@@ -56,7 +56,7 @@ int main() {
                                CompareOp::kLe, part_value}),
     };
     ExecOptions options;
-    options.vector_size = 8'192;
+    options.progressive.vector_size = 8'192;
     options.order = std::vector<size_t>{0, 1};
     auto orders_first = engine.Execute(query, options);
     options.order = std::vector<size_t>{1, 0};

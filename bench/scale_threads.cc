@@ -33,10 +33,15 @@ int main(int argc, char** argv) {
   const size_t kMorselSize = 4'096;
 
   ExecOptions solo;
-  solo.vector_size = kMorselSize;
+  solo.progressive.vector_size = kMorselSize;
+  solo.progressive.reopt_interval = 10;
   auto reference = engine.Execute(query, solo);
   NIPO_CHECK(reference.ok());
   const ExecReport& ref = reference.ValueOrDie();
+  solo.mode = ExecMode::kProgressive;
+  auto prog_reference = engine.Execute(query, solo);
+  NIPO_CHECK(prog_reference.ok());
+  const ExecReport& prog_ref = prog_reference.ValueOrDie();
 
   TablePrinter table("Q6 thread scaling (baseline, morsel " +
                      std::to_string(kMorselSize) + ")");
@@ -48,7 +53,7 @@ int main(int argc, char** argv) {
     ExecOptions options;
     options.driver = ExecDriver::kSharded;
     options.num_threads = threads;
-    options.vector_size = kMorselSize;
+    options.progressive.vector_size = kMorselSize;
     auto run = engine.Execute(query, options);
     NIPO_CHECK(run.ok());
     const ParallelDriveResult& drive =
@@ -80,8 +85,8 @@ int main(int argc, char** argv) {
   }
   table.Print(std::cout);
 
-  // Progressive under parallelism: same sweep with the shared coordinator
-  // re-optimizing on merged morsel windows (reopt every 10 morsels).
+  // Progressive under parallelism: same sweep with one controller fed
+  // every fresh morsel (reopt every 10 morsels).
   TablePrinter prog_table("Q6 thread scaling (progressive, reopt 10)");
   prog_table.SetHeader(
       {"threads", "wall msec", "critical msec", "reorders", "stale morsels"});
@@ -90,8 +95,7 @@ int main(int argc, char** argv) {
     options.mode = ExecMode::kProgressive;
     options.driver = ExecDriver::kSharded;
     options.num_threads = threads;
-    options.progressive.vector_size = kMorselSize;
-    options.progressive.reopt_interval = 10;
+    options.progressive = solo.progressive;
     auto run = engine.Execute(query, options);
     NIPO_CHECK(run.ok());
     const ParallelProgressiveReport& report =
@@ -99,11 +103,17 @@ int main(int argc, char** argv) {
     NIPO_CHECK(report.drive.merged.qualifying_tuples ==
                ref.qualifying_tuples);
     NIPO_CHECK(report.drive.merged.aggregate == ref.aggregate);
+    if (threads == 1) {
+      // One shard replays the solo progressive drive decision for
+      // decision, so its cycles and final order must match exactly.
+      NIPO_CHECK(report.drive.merged.total.cycles == prog_ref.counters.cycles);
+      NIPO_CHECK(report.final_order == prog_ref.final_order);
+    }
     prog_table.AddRow(
         {std::to_string(threads), FormatDouble(report.drive.wall_msec, 1),
          FormatDouble(report.drive.merged.simulated_msec, 3),
          std::to_string(report.changes.size()),
-         std::to_string(report.stale_morsels)});
+         std::to_string(report.drive.stale_morsels)});
   }
   prog_table.Print(std::cout);
   std::cout << "note: wall-clock speedup requires physical cores; the\n"

@@ -110,7 +110,7 @@ int main(int argc, char** argv) {
   std::vector<ConfigResult> results;
   for (const Config& config : configs) {
     ExecOptions options;
-    options.vector_size = kVectorSize;
+    options.progressive.vector_size = kVectorSize;
     ExecReport batched_report, scalar_report;
     engine.set_reporting_mode(ReportingMode::kBatched);
     const double batched_msec = WallMsec(

@@ -107,7 +107,7 @@ int main(int argc, char** argv) {
                    "speedup vs plain", "results"});
 
   ExecOptions options;
-  options.vector_size = kVectorSize;
+  options.progressive.vector_size = kVectorSize;
   std::vector<ConfigResult> results;
   for (const Config& config : configs) {
     ConfigResult per_storage[2];

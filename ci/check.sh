@@ -3,8 +3,9 @@
 # runs on every push/PR): lint -> configure -> build -> ctest twice
 # (1-thread and 8-thread driver configs via the NIPO_TEST_THREADS env
 # var), a perf-smoke run of the simulator-throughput, workload,
-# SIMD-kernel, and compressed-storage-scan benches (their correctness
-# gates assert counter, kernel, and plain-vs-encoded bit-identity), one
+# SIMD-kernel, compressed-storage-scan and thread-scaling benches (their
+# correctness gates assert counter, kernel, plain-vs-encoded and
+# sharded-vs-solo bit-identity), one
 # multi-gate perf-regression check against the committed trajectory
 # anchors, then the concurrency tests again under ThreadSanitizer and
 # the full suite under ASan+UBSan.
@@ -86,6 +87,12 @@ if [[ "${NIPO_PERF_SMOKE:-1}" == "1" ]]; then
   echo "== perf smoke: storage_scan =="
   "$BUILD_DIR"/bench/storage_scan --quick \
       --json="$BUILD_DIR"/BENCH_storage_scan.json
+  # Full size (it has no --quick mode and runs in under a second); its
+  # gates pin sharded T=1 to the solo drive in baseline and progressive
+  # mode. Not perf-gated: its wall numbers are host-dependent.
+  echo "== perf smoke: scale_threads =="
+  "$BUILD_DIR"/bench/scale_threads \
+      --json="$BUILD_DIR"/BENCH_scale_threads.json
 
   # Perf-regression gate, one invocation over every (anchor, metric)
   # pair: smoke throughput must stay within a generous factor of the

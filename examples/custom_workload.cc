@@ -54,7 +54,7 @@ int main() {
        std::vector<std::pair<std::string, std::vector<size_t>>>{
            {"fixed x-first", {0, 1}}, {"fixed y-first", {1, 0}}}) {
     ExecOptions options;
-    options.vector_size = 8'192;
+    options.progressive.vector_size = 8'192;
     options.order = order;
     auto r = engine.Execute(query, options);
     NIPO_CHECK(r.ok());

@@ -49,13 +49,13 @@ int main() {
   //    morsel-index order, so the numbers must agree exactly.
   const size_t kMorselSize = 16'384;
   ExecOptions solo_options;  // defaults: baseline, solo
-  solo_options.vector_size = kMorselSize;
+  solo_options.progressive.vector_size = kMorselSize;
   auto single = engine.Execute(query, solo_options);
   NIPO_CHECK(single.ok());
 
   ExecOptions options;
   options.num_threads = 4;  // driver kAuto resolves to sharded
-  options.vector_size = kMorselSize;
+  options.progressive.vector_size = kMorselSize;
   auto sharded = engine.Execute(query, options);
   NIPO_CHECK(sharded.ok());
 
@@ -81,11 +81,10 @@ int main() {
                 par.workers[w].simulated_msec);
   }
 
-  // 3. Progressive optimization under sharding: one shared coordinator
-  //    merges the workers' per-morsel counter samples, learns the
-  //    selectivities, and broadcasts better orders to every worker.
+  // 3. Progressive optimization under sharding: one controller is fed
+  //    the workers' per-morsel counter samples, learns the selectivities,
+  //    and broadcasts better orders to every worker.
   options.mode = ExecMode::kProgressive;
-  options.progressive.vector_size = kMorselSize;
   options.progressive.reopt_interval = 2;
   auto progressive = engine.Execute(query, options);
   NIPO_CHECK(progressive.ok());

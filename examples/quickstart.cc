@@ -48,7 +48,7 @@ int main() {
   //    the unified entry point: one ExecOptions struct selects the mode.
   const size_t kVectorSize = 16'384;
   ExecOptions base_options;  // defaults: baseline, solo
-  base_options.vector_size = kVectorSize;
+  base_options.progressive.vector_size = kVectorSize;
   auto baseline = engine.Execute(query, base_options);
   NIPO_CHECK(baseline.ok());
 

@@ -65,7 +65,7 @@ int main() {
 
     const size_t kVectorSize = 4'096;
     ExecOptions base_options;
-    base_options.vector_size = kVectorSize;
+    base_options.progressive.vector_size = kVectorSize;
     base_options.order = std::vector<size_t>{0, 1};
     auto sel_first = engine.Execute(query, base_options);
     base_options.order = std::vector<size_t>{1, 0};
@@ -84,7 +84,7 @@ int main() {
     probe_only.table = "lineitem";
     probe_only.ops = {query.ops[1]};
     ExecOptions diag_options;
-    diag_options.vector_size = kVectorSize;
+    diag_options.progressive.vector_size = kVectorSize;
     auto diag = engine.Execute(probe_only, diag_options);
     NIPO_CHECK(diag.ok());
     const auto& counters = diag.ValueOrDie().counters;

@@ -64,7 +64,7 @@ int main() {
 
   const size_t kVectorSize = 8'192;
   ExecOptions static_options;
-  static_options.vector_size = kVectorSize;
+  static_options.progressive.vector_size = kVectorSize;
   static_options.order = plan.order;
   auto static_run = engine.Execute(query, static_options);
   NIPO_CHECK(static_run.ok());
@@ -83,7 +83,7 @@ int main() {
   std::vector<size_t> best_order;
   for (const auto& order : AllOrders(2)) {
     ExecOptions options;
-    options.vector_size = kVectorSize;
+    options.progressive.vector_size = kVectorSize;
     options.order = order;
     auto r = engine.Execute(query, options);
     NIPO_CHECK(r.ok());

@@ -39,7 +39,7 @@ int main() {
   const auto orders = AllOrders(query.ops.size());
   for (const auto& order : orders) {
     ExecOptions options;
-    options.vector_size = kVectorSize;
+    options.progressive.vector_size = kVectorSize;
     options.order = order;
     auto r = engine.Execute(query, options);
     NIPO_CHECK(r.ok());

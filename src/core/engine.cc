@@ -8,9 +8,10 @@
 /// \file engine.cc
 /// Engine facade implementation: the table registry, compilation of a
 /// QuerySpec into a PipelineExecutor bound to a fresh simulated machine,
-/// the baseline and progressive execution entry points (single-threaded
-/// and sharded-parallel, see DESIGN.md "Parallel execution"), and the
-/// AllOrders permutation enumeration used by the figure benches.
+/// the Execute entry point (baseline or progressive, on the solo or the
+/// sharded driver, see DESIGN.md "Parallel execution"; and the workload
+/// form), and the AllOrders permutation enumeration used by the figure
+/// benches.
 
 namespace nipo {
 
@@ -76,41 +77,38 @@ Result<ExecReport> Engine::Execute(const QuerySpec& query,
       options.driver != ExecDriver::kAuto ? options.driver
       : options.num_threads <= 1          ? ExecDriver::kSolo
                                           : ExecDriver::kSharded;
+  const bool progressive = options.mode == ExecMode::kProgressive;
+  const ProgressiveConfig& config = options.progressive;
+  // Options are user input: reject them with a Status, never an abort.
+  if (config.vector_size == 0) {
+    return Status::InvalidArgument("vector_size must be positive");
+  }
+  if (progressive && config.reopt_interval == 0) {
+    return Status::InvalidArgument("reopt_interval must be positive");
+  }
   ExecReport report;
   report.mode = options.mode;
   report.driver = driver;
 
   if (driver == ExecDriver::kSolo) {
-    if (options.mode == ExecMode::kBaseline) {
-      if (options.vector_size == 0) {
-        return Status::InvalidArgument("vector_size must be positive");
-      }
-      Pmu pmu = NewMachine();
-      NIPO_ASSIGN_OR_RETURN(
-          std::unique_ptr<PipelineExecutor> exec,
-          CompileQuery(query, &pmu, InstrumentationMode::kPmu));
-      NIPO_RETURN_NOT_OK(ApplyOrder(exec.get(), options.order));
+    Pmu pmu = NewMachine();
+    NIPO_ASSIGN_OR_RETURN(
+        std::unique_ptr<PipelineExecutor> exec,
+        CompileQuery(query, &pmu, InstrumentationMode::kPmu));
+    NIPO_RETURN_NOT_OK(ApplyOrder(exec.get(), options.order));
+    if (!progressive) {
       BaselineReport sub;
       sub.order = exec->current_order();
-      sub.drive = RunBaseline(exec.get(), options.vector_size);
+      sub.drive = RunBaseline(exec.get(), config.vector_size);
       // Runtime data errors (e.g. an FK value outside its dimension) latch
-      // on the executor instead of aborting; the solo entry points surface
-      // them as a failed call.
+      // on the executor instead of aborting; they fail the call.
       NIPO_RETURN_NOT_OK(exec->error());
       FillHeadline(sub.drive, &report);
       report.final_order = sub.order;
       report.baseline = std::move(sub);
       return report;
     }
-    if (options.progressive.vector_size == 0) {
-      return Status::InvalidArgument("vector_size must be positive");
-    }
-    Pmu pmu = NewMachine();
-    NIPO_ASSIGN_OR_RETURN(
-        std::unique_ptr<PipelineExecutor> exec,
-        CompileQuery(query, &pmu, InstrumentationMode::kPmu));
-    NIPO_RETURN_NOT_OK(ApplyOrder(exec.get(), options.order));
-    ProgressiveOptimizer optimizer(exec.get(), options.progressive);
+    ProgressiveOptimizer optimizer(exec.get(), config);
     ProgressiveReport sub = optimizer.Run();
     NIPO_RETURN_NOT_OK(exec->error());
     FillHeadline(sub.drive, &report);
@@ -119,28 +117,24 @@ Result<ExecReport> Engine::Execute(const QuerySpec& query,
     return report;
   }
 
-  if (options.num_threads == 0) {
-    return Status::InvalidArgument("num_threads must be positive");
-  }
   ParallelConfig pcfg;
   pcfg.num_threads = options.num_threads;
+  pcfg.morsel_size = config.vector_size;
   pcfg.cancel = options.cancel;
-  auto factory = [this, &query](Pmu* pmu) {
-    return CompileQuery(query, pmu, InstrumentationMode::kPmu);
-  };
+  ParallelDriver pdriver(
+      machine_recipe(),
+      [this, &query](Pmu* pmu) {
+        return CompileQuery(query, pmu, InstrumentationMode::kPmu);
+      },
+      pcfg);
 
-  if (options.mode == ExecMode::kBaseline) {
-    if (options.vector_size == 0) {
-      return Status::InvalidArgument("morsel_size must be positive");
-    }
-    pcfg.morsel_size = options.vector_size;
-    ParallelDriver pdriver(machine_recipe(), factory, pcfg);
-    // Query and order errors propagate from the driver, which compiles
-    // every worker executor and applies the order before any thread
-    // starts.
+  if (!progressive) {
+    // Option, query and order errors propagate from the driver, which
+    // compiles every worker executor and applies the order before any
+    // thread starts.
     ParallelBaselineReport sub;
     NIPO_ASSIGN_OR_RETURN(sub.drive, pdriver.Run(options.order));
-    // A runtime data error fails the call, like the solo entry point;
+    // A runtime data error fails the call, like the solo drive;
     // cooperative cancellation instead returns the partial report with
     // drive.cancelled set.
     NIPO_RETURN_NOT_OK(sub.drive.error);
@@ -156,28 +150,31 @@ Result<ExecReport> Engine::Execute(const QuerySpec& query,
     return report;
   }
 
-  if (options.progressive.vector_size == 0) {
-    return Status::InvalidArgument("vector_size must be positive");
-  }
-  // The coordinator's control pipeline: never executed, provides operator
-  // metadata and carries the authoritative current order.
+  // The controller runs on a control executor: compiled on a machine of
+  // its own and never executed, it provides operator metadata and carries
+  // the authoritative plan that the workers receive by broadcast.
   Pmu control_pmu = NewMachine();
   NIPO_ASSIGN_OR_RETURN(
       std::unique_ptr<PipelineExecutor> control,
       CompileQuery(query, &control_pmu, InstrumentationMode::kPmu));
   NIPO_RETURN_NOT_OK(ApplyOrder(control.get(), options.order));
-  ParallelProgressiveCoordinator coordinator(control.get(),
-                                             options.progressive);
-  pcfg.morsel_size = options.progressive.vector_size;  // the sampling unit
-  ParallelDriver pdriver(machine_recipe(), factory, pcfg);
+  ProgressiveOptimizer optimizer(control.get(), config);
+  optimizer.Begin();
   ParallelProgressiveReport sub;
   NIPO_ASSIGN_OR_RETURN(
-      sub.drive, pdriver.Run(options.order,
-                             [&coordinator](const MorselRecord& record) {
-                               return coordinator.OnMorsel(record);
-                             }));
+      sub.drive,
+      pdriver.Run(options.order,
+                  [&](const MorselRecord& record) -> std::optional<PlanUpdate> {
+                    if (!optimizer.OnVector(record.sample)) return std::nullopt;
+                    return PlanUpdate{control->current_order(),
+                                      control->forms()};
+                  }));
   NIPO_RETURN_NOT_OK(sub.drive.error);
-  coordinator.FillReport(&sub);
+  ProgressiveReport decisions = optimizer.Finish(sub.drive.merged);
+  sub.changes = std::move(decisions.changes);
+  sub.num_optimizations = decisions.num_optimizations;
+  sub.last_estimate = std::move(decisions.last_estimate);
+  sub.final_order = std::move(decisions.final_order);
   FillHeadline(sub.drive.merged, &report);
   report.final_order = sub.final_order;
   report.sharded_progressive = std::move(sub);
@@ -188,71 +185,6 @@ Result<TableEncodingStats> Engine::EncodeTable(const std::string& name,
                                                const EncodingOptions& options) {
   NIPO_ASSIGN_OR_RETURN(Table * table, GetMutableTable(name));
   return EncodeTableColumns(table, options);
-}
-
-Result<BaselineReport> Engine::ExecuteBaseline(
-    const QuerySpec& query, size_t vector_size,
-    std::optional<std::vector<size_t>> order) const {
-  ExecOptions options;
-  options.mode = ExecMode::kBaseline;
-  options.driver = ExecDriver::kSolo;
-  options.vector_size = vector_size;
-  options.order = std::move(order);
-  NIPO_ASSIGN_OR_RETURN(ExecReport report, Execute(query, options));
-  if (!report.baseline.has_value()) {
-    return Status::InvalidArgument("execution produced no baseline report");
-  }
-  return *std::move(report.baseline);
-}
-
-Result<ProgressiveReport> Engine::ExecuteProgressive(
-    const QuerySpec& query, const ProgressiveConfig& config,
-    std::optional<std::vector<size_t>> initial_order) const {
-  ExecOptions options;
-  options.mode = ExecMode::kProgressive;
-  options.driver = ExecDriver::kSolo;
-  options.progressive = config;
-  options.order = std::move(initial_order);
-  NIPO_ASSIGN_OR_RETURN(ExecReport report, Execute(query, options));
-  if (!report.progressive.has_value()) {
-    return Status::InvalidArgument("execution produced no progressive report");
-  }
-  return *std::move(report.progressive);
-}
-
-Result<ParallelBaselineReport> Engine::ExecuteBaselineParallel(
-    const QuerySpec& query, const ParallelOptions& parallel,
-    std::optional<std::vector<size_t>> order) const {
-  ExecOptions options;
-  options.mode = ExecMode::kBaseline;
-  options.driver = ExecDriver::kSharded;
-  options.num_threads = parallel.num_threads;
-  options.vector_size = parallel.morsel_size;
-  options.cancel = parallel.cancel;
-  options.order = std::move(order);
-  NIPO_ASSIGN_OR_RETURN(ExecReport report, Execute(query, options));
-  if (!report.sharded_baseline.has_value()) {
-    return Status::InvalidArgument("execution produced no sharded_baseline report");
-  }
-  return *std::move(report.sharded_baseline);
-}
-
-Result<ParallelProgressiveReport> Engine::ExecuteProgressiveParallel(
-    const QuerySpec& query, const ProgressiveConfig& config,
-    const ParallelOptions& parallel,
-    std::optional<std::vector<size_t>> initial_order) const {
-  ExecOptions options;
-  options.mode = ExecMode::kProgressive;
-  options.driver = ExecDriver::kSharded;
-  options.num_threads = parallel.num_threads;
-  options.progressive = config;
-  options.cancel = parallel.cancel;
-  options.order = std::move(initial_order);
-  NIPO_ASSIGN_OR_RETURN(ExecReport report, Execute(query, options));
-  if (!report.sharded_progressive.has_value()) {
-    return Status::InvalidArgument("execution produced no sharded_progressive report");
-  }
-  return *std::move(report.sharded_progressive);
 }
 
 namespace {
@@ -338,10 +270,6 @@ Result<WorkloadReport> Engine::Execute(const WorkloadSpec& spec) const {
       },
       spec.options);
   return driver.Run(tasks);
-}
-
-Result<WorkloadReport> Engine::ExecuteWorkload(const WorkloadSpec& spec) const {
-  return Execute(spec);
 }
 
 std::vector<std::vector<size_t>> AllOrders(size_t n) {

@@ -18,12 +18,12 @@
 ///
 /// An Engine owns a set of registered tables and a simulated-machine
 /// configuration; queries are described by QuerySpec (operator chain +
-/// aggregate payload) and executed either as a fixed-order baseline (the
-/// paper's "common execution pattern") or under progressive optimization,
-/// each in a single-threaded and a sharded multi-threaded form (the
-/// *Parallel entry points; DESIGN.md "Parallel execution"). Each execution
+/// aggregate payload) and executed through one Execute entry point, either
+/// as a fixed-order baseline (the paper's "common execution pattern") or
+/// under progressive optimization, each on a single-threaded or a sharded
+/// multi-threaded driver (DESIGN.md "Parallel execution"). Each execution
 /// runs on fresh simulated machines (cold caches, neutral predictor) --
-/// one per worker thread in the parallel case -- so results are
+/// one per worker thread in the sharded case -- so results are
 /// deterministic and comparable.
 ///
 /// Typical use (see examples/quickstart.cc):
@@ -34,7 +34,9 @@
 ///   query.table = "lineitem";
 ///   query.ops = nipo::MakeQ6FullPredicates();
 ///   query.payload_columns = nipo::Q6PayloadColumns();
-///   auto report = engine.ExecuteProgressive(query, {});
+///   nipo::ExecOptions options;
+///   options.mode = nipo::ExecMode::kProgressive;
+///   auto report = engine.Execute(query, options);
 /// \endcode
 
 namespace nipo {
@@ -52,22 +54,6 @@ struct QuerySpec {
 struct BaselineReport {
   DriveResult drive;
   std::vector<size_t> order;  ///< the order that was executed
-};
-
-/// \brief Options of the sharded (multi-threaded) entry points.
-struct ParallelOptions {
-  /// Worker thread count (>= 1); 1 reproduces the single-threaded
-  /// VectorDriver execution bit-identically.
-  size_t num_threads = 1;
-  /// Tuples per morsel for ExecuteBaselineParallel. The progressive
-  /// entry point uses ProgressiveConfig::vector_size instead, so its
-  /// sampling unit matches the single-threaded driver.
-  size_t morsel_size = 65'536;
-  /// Optional cooperative cancellation token (see ParallelConfig::cancel):
-  /// workers stop at the next morsel boundary once it reads true and the
-  /// report comes back with drive.cancelled set and partial counts. The
-  /// pointee must outlive the call.
-  const std::atomic<bool>* cancel = nullptr;
 };
 
 /// \brief Sharded baseline execution result.
@@ -94,7 +80,7 @@ struct WorkloadQuery {
   /// admits earlier. The other per-query scheduling inputs — the work
   /// estimate for kSrwf and the L3 footprint for kFootprintAware — are
   /// derived automatically from the cost model (cost/cache_model.h)
-  /// against the registered tables; see Engine::ExecuteWorkload.
+  /// against the registered tables; see Engine::Execute(WorkloadSpec).
   int priority = 0;
   /// Simulated deadline relative to arrival (0 = none; see
   /// WorkloadTask::sim_deadline_msec): past it the query is killed
@@ -115,48 +101,45 @@ struct WorkloadSpec {
   WorkloadOptions options;
 };
 
-/// \brief Optimization strategy of the unified Execute entry point.
+/// \brief Optimization strategy of Engine::Execute.
 enum class ExecMode {
   kBaseline,     ///< fixed evaluation order (the paper's common pattern)
   kProgressive,  ///< in-flight reordering from counter windows
 };
 
-/// \brief Driver selection of the unified Execute entry point.
+/// \brief Driver selection of Engine::Execute.
 enum class ExecDriver {
   /// Solo when num_threads <= 1, sharded otherwise.
   kAuto,
   /// Single-threaded vector-at-a-time drive (VectorDriver).
   kSolo,
   /// Morsel-sharded multi-threaded drive (ParallelDriver), even at
-  /// num_threads = 1 (which reproduces the solo counters bit-identically
-  /// at vector_size == morsel size).
+  /// num_threads = 1 (which reproduces the solo drive bit-identically).
   kSharded,
 };
 
-/// \brief Options of the unified Engine::Execute entry point: one struct
-/// selects the mode, the driver and the pricing instead of four
-/// mode-specific method signatures.
+/// \brief Options of Engine::Execute: one struct selects the mode, the
+/// driver and the pricing.
 struct ExecOptions {
   ExecMode mode = ExecMode::kBaseline;
   ExecDriver driver = ExecDriver::kAuto;
   /// Worker threads of the sharded driver (>= 1; ignored by kSolo).
   size_t num_threads = 1;
-  /// Vector size of the solo baseline drive, morsel size of the sharded
-  /// baseline drive. Progressive runs sample at progressive.vector_size
-  /// instead, so their unit matches the optimizer's windows.
-  size_t vector_size = 65'536;
-  /// Progressive settings -- sampling vector size, re-optimization
-  /// interval, pricing (kUnit / kBranchCycles / kSimdAware), validation
-  /// -- consulted when mode == kProgressive.
+  /// progressive.vector_size is the vector size of the solo drive and the
+  /// morsel size of the sharded drive, in every mode. The other fields --
+  /// re-optimization interval, pricing (kUnit / kBranchCycles /
+  /// kSimdAware), validation -- are consulted when mode == kProgressive.
   ProgressiveConfig progressive;
   /// Optional initial evaluation order (permutation of query.ops).
   std::optional<std::vector<size_t>> order;
   /// Optional cooperative cancellation token for sharded drives (see
-  /// ParallelOptions::cancel). The pointee must outlive the call.
+  /// ParallelConfig::cancel): workers stop at the next morsel boundary
+  /// once it reads true, and the report comes back with drive.cancelled
+  /// set and partial counts. The pointee must outlive the call.
   const std::atomic<bool>* cancel = nullptr;
 };
 
-/// \brief Unified execution result: the mode-independent headline numbers
+/// \brief Execution result: the mode-independent headline numbers
 /// plus exactly one engaged mode-specific sub-report.
 struct ExecReport {
   /// The (mode, driver) pair that actually ran; driver is resolved, never
@@ -202,15 +185,36 @@ class Engine {
   ReportingMode reporting_mode() const { return reporting_mode_; }
   void set_reporting_mode(ReportingMode mode) { reporting_mode_ = mode; }
 
-  /// Unified entry point: executes `query` on fresh machines under the
-  /// mode / driver / pricing selected by `options`. The older
-  /// Execute{Baseline,Progressive,BaselineParallel,ProgressiveParallel}
-  /// names below are thin shims over this call.
+  /// Executes `query` on fresh machines under the mode / driver / pricing
+  /// selected by `options`. The sharded driver at num_threads = 1 is
+  /// bit-identical to the solo driver in both modes. The sharded
+  /// progressive drive runs one controller (ProgressiveOptimizer) on a
+  /// control executor, fed every fresh morsel sample; its plan changes
+  /// are broadcast to all workers at morsel boundaries. Invalid options
+  /// (a zero vector size, re-optimization interval or thread count) fail
+  /// with InvalidArgument.
   Result<ExecReport> Execute(const QuerySpec& query,
                              const ExecOptions& options = {}) const;
 
-  /// Unified entry point, workload form: executes a multi-query workload
-  /// over a shared worker pool (ExecuteWorkload is the delegating shim).
+  /// Executes a multi-query workload over a shared worker pool with
+  /// admission control (DESIGN.md "Workload execution"): up to
+  /// `spec.options.max_concurrent` queries in flight, each on its own
+  /// fresh private machine with its own progressive optimizer, scheduled
+  /// across `spec.options.num_threads` workers at vector granularity.
+  /// In deterministic mode (the default) every query's results and
+  /// counters are bit-identical to running it alone through
+  /// Execute(QuerySpec) on the solo driver, and the aggregate report's
+  /// simulated makespan / latencies / queries-per-sec are bit-stable on
+  /// any host.
+  ///
+  /// Service mode (DESIGN.md Section 7): `spec.options.arrival` switches
+  /// the closed queue to an open arrival stream (uniform / Poisson /
+  /// bursty over the seeded PRNG) with per-query latency decomposed into
+  /// queue wait + in-service span and p50/p95/p99/max tails in the
+  /// report; `spec.options.adaptive_admission` lets the admission limit
+  /// self-tune inside [1, max_concurrent] from simulated interference
+  /// feedback. Both compose with `spec.options.contention`, and every
+  /// latency figure stays bit-stable.
   Result<WorkloadReport> Execute(const WorkloadSpec& spec) const;
 
   /// Re-encodes every column of a registered table into the per-block
@@ -222,61 +226,6 @@ class Engine {
   Result<TableEncodingStats> EncodeTable(const std::string& name,
                                          const EncodingOptions& options = {});
 
-  /// Executes `query` with a fixed evaluation order on a fresh machine.
-  /// `order`, if given, permutes query.ops; otherwise the spec order runs.
-  /// Shim over Execute({kBaseline, kSolo}).
-  Result<BaselineReport> ExecuteBaseline(
-      const QuerySpec& query, size_t vector_size,
-      std::optional<std::vector<size_t>> order = std::nullopt) const;
-
-  /// Executes `query` under progressive optimization on a fresh machine.
-  /// `initial_order`, if given, permutes query.ops before the first
-  /// vector (the paper's "initial PEO" degree of freedom). Shim over
-  /// Execute({kProgressive, kSolo}).
-  Result<ProgressiveReport> ExecuteProgressive(
-      const QuerySpec& query, const ProgressiveConfig& config,
-      std::optional<std::vector<size_t>> initial_order = std::nullopt) const;
-
-  /// Executes `query` with a fixed order sharded across
-  /// `options.num_threads` worker threads, each on its own fresh machine
-  /// (DESIGN.md "Parallel execution"). With num_threads = 1 the result is
-  /// bit-identical to ExecuteBaseline at vector_size = morsel_size. Shim
-  /// over Execute({kBaseline, kSharded}).
-  Result<ParallelBaselineReport> ExecuteBaselineParallel(
-      const QuerySpec& query, const ParallelOptions& options,
-      std::optional<std::vector<size_t>> order = std::nullopt) const;
-
-  /// Executes `query` under progressive optimization sharded across
-  /// `options.num_threads` workers: per-morsel counter samples are merged
-  /// by one shared coordinator, whose reorder decisions are broadcast to
-  /// all workers at morsel boundaries. Morsel size is
-  /// `config.vector_size`. Shim over Execute({kProgressive, kSharded}).
-  Result<ParallelProgressiveReport> ExecuteProgressiveParallel(
-      const QuerySpec& query, const ProgressiveConfig& config,
-      const ParallelOptions& options,
-      std::optional<std::vector<size_t>> initial_order = std::nullopt) const;
-
-  /// Executes a multi-query workload over a shared worker pool with
-  /// admission control (DESIGN.md "Workload execution"): up to
-  /// `spec.options.max_concurrent` queries in flight, each on its own
-  /// fresh private machine with its own progressive optimizer, scheduled
-  /// across `spec.options.num_threads` workers at vector granularity.
-  /// In deterministic mode (the default) every query's results and
-  /// counters are bit-identical to running it alone through
-  /// ExecuteBaseline / ExecuteProgressive, and the aggregate report's
-  /// simulated makespan / latencies / queries-per-sec are bit-stable on
-  /// any host.
-  ///
-  /// Service mode (DESIGN.md Section 7): `spec.options.arrival` switches
-  /// the closed queue to an open arrival stream (uniform / Poisson /
-  /// bursty over the seeded PRNG) with per-query latency decomposed into
-  /// queue wait + in-service span and p50/p95/p99/max tails in the
-  /// report; `spec.options.adaptive_admission` lets the admission limit
-  /// self-tune inside [1, max_concurrent] from simulated interference
-  /// feedback. Both compose with `spec.options.contention`, and every
-  /// latency figure stays bit-stable. Shim over Execute(WorkloadSpec).
-  Result<WorkloadReport> ExecuteWorkload(const WorkloadSpec& spec) const;
-
   /// The recipe of every simulated machine an execution runs on: the
   /// engine's hardware description and reporting mode. The parallel and
   /// workload drivers keep it and build their machines from it, so every
@@ -284,7 +233,7 @@ class Engine {
   MachineRecipe machine_recipe() const { return {hw_, reporting_mode_}; }
 
   /// Builds the fresh simulated machine (cold caches, neutral predictor)
-  /// the single-threaded entry points run on.
+  /// the solo driver runs on.
   Pmu NewMachine() const { return Pmu(machine_recipe()); }
 
  private:

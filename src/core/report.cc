@@ -154,7 +154,7 @@ void PrintParallelProgressiveReport(const ParallelProgressiveReport& report,
                                     std::ostream& out) {
   PrintParallelDriveResult(report.drive, title, out);
   TablePrinter trace(title + " - broadcast PEO trace");
-  trace.SetHeader({"window end", "old order", "new order", "flags"});
+  trace.SetHeader({"morsel", "old order", "new order", "flags"});
   for (const PeoChange& change : report.changes) {
     std::string flags;
     if (change.exploration) flags += "exploration ";
@@ -165,7 +165,7 @@ void PrintParallelProgressiveReport(const ParallelProgressiveReport& report,
   }
   trace.Print(out);
   out << "optimizations: " << report.num_optimizations
-      << ", stale morsels: " << report.stale_morsels
+      << ", stale morsels: " << report.drive.stale_morsels
       << ", final order: " << FormatOrder(report.final_order) << "\n";
   if (!report.last_estimate.empty()) {
     out << "final selectivity estimate:";

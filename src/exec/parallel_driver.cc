@@ -12,8 +12,8 @@
 /// Morsel-sharded multi-threaded driving of per-worker PipelineExecutors
 /// (DESIGN.md "Parallel execution"): contiguous per-worker morsel ranges
 /// with half-range work-stealing, per-worker private simulated machines,
-/// order-version broadcasting at morsel boundaries, and the deterministic
-/// morsel-index-ordered merge.
+/// versioned plan broadcasting at morsel boundaries with stale-morsel
+/// filtering, and the deterministic morsel-index-ordered merge.
 
 namespace nipo {
 
@@ -70,13 +70,13 @@ class MorselQueue {
   std::vector<Range> ranges_;
 };
 
-/// Published evaluation order, bumped by each broadcast. Workers check the
-/// atomic version before every morsel and only take the lock (to copy the
-/// order) when it moved.
-struct OrderBroadcast {
+/// Published plan, bumped by each broadcast. Workers check the atomic
+/// version before every morsel and only take the lock (to copy the plan)
+/// when it moved. The version only moves under the coordinator lock.
+struct PlanBroadcast {
   std::atomic<uint64_t> version{0};
   std::mutex mu;
-  std::vector<size_t> order;  // guarded by mu, valid when version > 0
+  PlanUpdate plan;  // guarded by mu, valid when version > 0
 };
 
 }  // namespace
@@ -135,8 +135,9 @@ Result<ParallelDriveResult> ParallelDriver::Run(
   std::vector<MorselRecord> records(sampling ? num_morsels : 0);
 
   MorselQueue queue(num_morsels, num_workers);
-  OrderBroadcast broadcast;
+  PlanBroadcast broadcast;
   std::mutex coordinator_mu;  // serializes hook invocations
+  Status plan_error;          // guarded by coordinator_mu
   // Stop signals checked at morsel boundaries: the caller's cooperative
   // cancellation token, and the internal abort raised when any worker's
   // executor latches a runtime data error (no point finishing the scan
@@ -161,12 +162,13 @@ Result<ParallelDriveResult> ParallelDriver::Run(
       if (!(morsel = queue.Next(worker_id, &stats.steals)).has_value()) {
         break;
       }
-      // Apply any broadcast order change at the morsel boundary.
+      // Apply any broadcast plan change at the morsel boundary.
       if (broadcast.version.load(std::memory_order_acquire) !=
           local_version) {
         std::lock_guard<std::mutex> lock(broadcast.mu);
         local_version = broadcast.version.load(std::memory_order_relaxed);
-        NIPO_CHECK(exec->Reorder(broadcast.order).ok());
+        NIPO_CHECK(exec->Reorder(broadcast.plan.order).ok());
+        NIPO_CHECK(exec->SetForms(broadcast.plan.forms).ok());
       }
       const size_t begin = *morsel * config_.morsel_size;
       const size_t end = std::min(begin + config_.morsel_size, num_rows);
@@ -189,11 +191,25 @@ Result<ParallelDriveResult> ParallelDriver::Run(
         records[*morsel] = record;
         if (hook) {
           std::lock_guard<std::mutex> lock(coordinator_mu);
-          std::optional<std::vector<size_t>> new_order = hook(record);
-          if (new_order.has_value()) {
-            std::lock_guard<std::mutex> order_lock(broadcast.mu);
-            broadcast.order = std::move(*new_order);
-            broadcast.version.fetch_add(1, std::memory_order_release);
+          if (record.order_version !=
+              broadcast.version.load(std::memory_order_relaxed)) {
+            // In flight under the previous plan when a new one went out:
+            // its counters describe a plan the hook no longer runs.
+            ++out.stale_morsels;
+          } else if (std::optional<PlanUpdate> plan = hook(record)) {
+            // Try the plan on this worker's executor, which sits at a
+            // morsel boundary, before any other worker takes it: a
+            // malformed plan fails the run instead of aborting a worker.
+            Status valid = exec->Reorder(plan->order);
+            if (valid.ok()) valid = exec->SetForms(plan->forms);
+            if (!valid.ok()) {
+              plan_error = std::move(valid);
+              abort.store(true, std::memory_order_release);
+            } else {
+              std::lock_guard<std::mutex> plan_lock(broadcast.mu);
+              broadcast.plan = std::move(*plan);
+              broadcast.version.fetch_add(1, std::memory_order_release);
+            }
           }
         }
       }
@@ -223,6 +239,7 @@ Result<ParallelDriveResult> ParallelDriver::Run(
   out.wall_msec = std::chrono::duration<double, std::milli>(
                       std::chrono::steady_clock::now() - wall_start)
                       .count();
+  NIPO_RETURN_NOT_OK(plan_error);
 
   // Deterministic merge: results in morsel-index order (fixing the
   // floating-point summation order), counters over workers, simulated time

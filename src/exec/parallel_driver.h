@@ -68,14 +68,22 @@ struct ParallelConfig {
 
 /// \brief One morsel's execution record: the per-morsel sample (with
 /// VectorSample::vector_index holding the *global morsel index*), plus
-/// which worker ran it and under which evaluation-order version.
+/// which worker ran it and under which plan version.
 struct MorselRecord {
   VectorSample sample;
   size_t worker_id = 0;
-  /// Broadcast generation of the evaluation order this morsel ran under
-  /// (0 = the initial order). The progressive coordinator uses this to
-  /// exclude stale-order morsels from its merged decision windows.
+  /// Broadcast generation of the plan this morsel ran under (0 = the
+  /// initial plan). Only morsels of the current generation reach the
+  /// MorselHook.
   uint64_t order_version = 0;
+};
+
+/// \brief A plan broadcast to every worker: the evaluation order plus one
+/// predicate form per operator, by original operator index (see
+/// PipelineExecutor::Reorder and SetForms).
+struct PlanUpdate {
+  std::vector<size_t> order;
+  std::vector<PredicateForm> forms;
 };
 
 /// \brief Per-worker outcome: totals on that worker's private machine.
@@ -101,6 +109,10 @@ struct ParallelDriveResult {
   /// Real host wall-clock of the parallel region, for the thread-scaling
   /// bench (bench/scale_threads.cc). Not simulated and not deterministic.
   double wall_msec = 0;
+  /// Morsels kept from the MorselHook because they were in flight under
+  /// an older plan when a new one was broadcast. Their results still count
+  /// in `merged`.
+  size_t stale_morsels = 0;
   /// True iff the run stopped early because ParallelConfig::cancel read
   /// true; `merged` then holds the partial counts of completed morsels.
   bool cancelled = false;
@@ -120,11 +132,16 @@ class ParallelDriver {
       std::function<Result<std::unique_ptr<PipelineExecutor>>(Pmu*)>;
 
   /// Decision hook, invoked serially (under the coordinator lock) with
-  /// each completed morsel record, in completion order. Returning an order
-  /// broadcasts it: every worker applies it to its own executor at its
-  /// next morsel boundary (Reorder between morsels, never mid-morsel).
+  /// each completed morsel that ran under the current plan, in completion
+  /// order; a morsel still in flight under an older plan when a new one
+  /// was broadcast is counted in ParallelDriveResult::stale_morsels
+  /// instead, so a decision never mixes two plans' counters. Returning a
+  /// plan broadcasts it: every worker applies it to its own executor
+  /// (Reorder + SetForms) at its next morsel boundary, never mid-morsel.
+  /// A plan the executor rejects stops the run, and Run() returns the
+  /// rejection.
   using MorselHook =
-      std::function<std::optional<std::vector<size_t>>(const MorselRecord&)>;
+      std::function<std::optional<PlanUpdate>(const MorselRecord&)>;
 
   /// \param recipe every worker machine is built fresh from it (cold
   ///        caches, neutral predictor).

@@ -43,7 +43,7 @@
 /// a query's vectors execute strictly in order on that private state — no
 /// matter which worker runs which quantum — its results and counters are
 /// **bit-identical to running it alone single-threaded** through
-/// Engine::ExecuteBaseline / ExecuteProgressive. That is the driver's
+/// Engine::Execute(QuerySpec) on the solo driver. That is the driver's
 /// deterministic mode (the default; see WorkloadOptions::deterministic
 /// for the warm machine-reuse alternative).
 ///
@@ -73,8 +73,7 @@ namespace nipo {
 /// \brief Driver-level description of one workload query: how to run it,
 /// not what it computes. The facade-level WorkloadQuery (core/engine.h)
 /// adds the QuerySpec; the driver reaches the compiled pipeline through
-/// its ExecutorFactory instead, mirroring the ParallelOptions /
-/// ParallelConfig split.
+/// its ExecutorFactory instead, as ParallelDriver does.
 struct WorkloadTask {
   /// Display name for reports (empty -> "q<index>").
   std::string name;

@@ -5,14 +5,11 @@
 #include <numeric>
 
 /// \file progressive.cc
-/// The progressive optimization driver loop: per-interval counter
+/// The progressive optimization controller: per-interval counter
 /// sampling, selectivity learning, operator re-ranking (cost-weighted
 /// when probes or expensive predicates participate) and in-flight
-/// evaluation-order changes, recorded as a PEO trace. The decision core
-/// (estimate + rank) is shared between the single-threaded driver and the
-/// parallel coordinator, which runs the same cycle on merged morsel
-/// windows and broadcasts its decisions to all workers (DESIGN.md
-/// "Parallel execution").
+/// evaluation-order and predicate-form changes with validation, recorded
+/// as a PEO trace.
 
 namespace nipo {
 
@@ -223,14 +220,13 @@ ProgressiveOptimizer::ProgressiveOptimizer(PipelineExecutor* executor,
   NIPO_CHECK(config_.reopt_interval > 0);
 }
 
-void ProgressiveOptimizer::Optimize(const VectorSample& sample) {
-  ++optimization_count_;
+bool ProgressiveOptimizer::Optimize(const VectorSample& sample) {
   ++report_.num_optimizations;
-  if (sample.result.input_tuples == 0) return;
+  if (sample.result.input_tuples == 0) return false;
 
   auto estimate = EstimateOrderSelectivities(*executor_, config_, sample);
   if (!estimate.ok()) {
-    return;  // inconsistent sample (e.g. empty vector); skip this cycle
+    return false;  // inconsistent sample (e.g. empty vector); skip this cycle
   }
   report_.last_estimate = estimate.ValueOrDie().selectivities;
 
@@ -239,9 +235,10 @@ void ProgressiveOptimizer::Optimize(const VectorSample& sample) {
   std::vector<size_t> proposed = RankOrderOperators(
       *executor_, config_, sample, estimate.ValueOrDie().selectivities,
       simd_aware ? &proposed_forms : nullptr);
-  const bool explore =
-      config_.explore_period > 0 &&
-      optimization_count_ % config_.explore_period == 0 && proposed.size() > 1;
+  const bool explore = config_.explore_period > 0 &&
+                       report_.num_optimizations % config_.explore_period ==
+                           0 &&
+                       proposed.size() > 1;
   if (explore && proposed == executor_->current_order()) {
     // Correlation probe (Section 4.5): try the nearest alternative order
     // to look at data the current order never touches.
@@ -251,7 +248,7 @@ void ProgressiveOptimizer::Optimize(const VectorSample& sample) {
   const bool order_changed = proposed != executor_->current_order();
   const bool forms_changed = simd_aware && proposed_forms != current_forms;
   if (!order_changed && !forms_changed) {
-    return;
+    return false;
   }
   if (hysteresis_ttl_ > 0) {
     --hysteresis_ttl_;
@@ -259,63 +256,62 @@ void ProgressiveOptimizer::Optimize(const VectorSample& sample) {
         proposed == recently_reverted_ &&
         (!simd_aware || proposed_forms == recently_reverted_forms_);
     if (same_as_reverted) {
-      return;  // hysteresis: validation just rejected this configuration
+      return false;  // hysteresis: validation just rejected this plan
     }
   }
-  PendingValidation pending;
-  pending.old_order = executor_->current_order();
-  pending.old_forms = current_forms;
-  pending.old_cycles_per_tuple = last_cycles_per_tuple_;
-  pending.exploration = explore;
-  if (order_changed) NIPO_CHECK(executor_->Reorder(proposed).ok());
-  if (forms_changed) NIPO_CHECK(executor_->SetForms(proposed_forms).ok());
   PeoChange change;
   change.vector_index = sample.vector_index;
-  change.old_order = pending.old_order;
+  change.old_order = executor_->current_order();
   change.new_order = proposed;
   change.old_forms = current_forms;
   change.new_forms = forms_changed ? proposed_forms : current_forms;
   change.exploration = explore;
-  report_.changes.push_back(change);
   if (config_.validate_and_revert) {
-    pending_ = std::move(pending);
+    pending_ = PendingValidation{change.old_order, current_forms,
+                                 last_cycles_per_tuple_};
   }
+  if (order_changed) NIPO_CHECK(executor_->Reorder(proposed).ok());
+  if (forms_changed) NIPO_CHECK(executor_->SetForms(proposed_forms).ok());
+  report_.changes.push_back(std::move(change));
+  return true;
 }
 
-void ProgressiveOptimizer::HandleVector(const VectorSample& sample) {
+bool ProgressiveOptimizer::OnVector(const VectorSample& sample) {
+  ++samples_;
   const double tuples = std::max<double>(
       1.0, static_cast<double>(sample.result.input_tuples));
   const double cycles_per_tuple =
       static_cast<double>(sample.counters.cycles) / tuples;
 
+  bool changed = false;
   if (pending_.has_value()) {
-    // This vector ran under the new order: validate it.
+    // This vector ran under the new plan: validate it.
     if (pending_->old_cycles_per_tuple > 0 &&
         cycles_per_tuple >
             pending_->old_cycles_per_tuple * config_.revert_threshold) {
       recently_reverted_ = executor_->current_order();
       recently_reverted_forms_ = executor_->forms();
-      hysteresis_ttl_ = 1;  // skip this order for one optimization cycle
+      hysteresis_ttl_ = 1;  // skip this plan for one optimization cycle
       NIPO_CHECK(executor_->Reorder(pending_->old_order).ok());
-      if (!pending_->old_forms.empty()) {
-        NIPO_CHECK(executor_->SetForms(pending_->old_forms).ok());
-      }
+      NIPO_CHECK(executor_->SetForms(pending_->old_forms).ok());
       report_.changes.back().reverted = true;
+      changed = true;
     } else {
       hysteresis_ttl_ = 0;  // a change survived; reopen the space
     }
     pending_.reset();
-  } else if ((sample.vector_index + 1) % config_.reopt_interval == 0) {
-    Optimize(sample);
+  } else if (samples_ % config_.reopt_interval == 0) {
+    changed = Optimize(sample);
   }
   last_cycles_per_tuple_ = cycles_per_tuple;
+  return changed;
 }
 
 void ProgressiveOptimizer::Begin() {
   report_ = ProgressiveReport{};
   pending_.reset();
+  samples_ = 0;
   last_cycles_per_tuple_ = 0;
-  optimization_count_ = 0;
   recently_reverted_.clear();
   recently_reverted_forms_.clear();
   hysteresis_ttl_ = 0;
@@ -331,115 +327,7 @@ ProgressiveReport ProgressiveOptimizer::Run() {
   Begin();
   VectorDriver driver(executor_, config_.vector_size);
   return Finish(
-      driver.Run([this](const VectorSample& sample) { HandleVector(sample); }));
-}
-
-ParallelProgressiveCoordinator::ParallelProgressiveCoordinator(
-    PipelineExecutor* control, ProgressiveConfig config)
-    : control_(control), config_(config) {
-  NIPO_CHECK(control_ != nullptr);
-  NIPO_CHECK(config_.reopt_interval > 0);
-  if (config_.pricing == CostPricing::kSimdAware) {
-    // Form switches are not broadcast to workers yet (the morsel protocol
-    // carries orders only; see ROADMAP.md): keep cycle-accurate pricing
-    // but leave every predicate in its branching form.
-    config_.pricing = CostPricing::kBranchCycles;
-  }
-}
-
-std::optional<std::vector<size_t>> ParallelProgressiveCoordinator::OnMorsel(
-    const MorselRecord& record) {
-  if (record.order_version != version_) {
-    // The morsel was in flight (under the previous order) when a broadcast
-    // happened; mixing its counters into the window would hand the
-    // estimator a sample spanning two orders. Its result still counts in
-    // the driver's merge -- only the decision window excludes it.
-    ++stale_morsels_;
-    return std::nullopt;
-  }
-  window_.Add(record.sample);
-  if (window_.count() < config_.reopt_interval) return std::nullopt;
-  const VectorSample merged = window_.merged();
-  window_.Reset();
-  return DecideOnWindow(merged);
-}
-
-std::optional<std::vector<size_t>>
-ParallelProgressiveCoordinator::DecideOnWindow(const VectorSample& merged) {
-  const double tuples = std::max<double>(
-      1.0, static_cast<double>(merged.result.input_tuples));
-  const double cycles_per_tuple =
-      static_cast<double>(merged.counters.cycles) / tuples;
-
-  if (pending_.has_value()) {
-    // This window ran entirely under the new order: validate it.
-    std::optional<std::vector<size_t>> broadcast;
-    if (pending_->old_cycles_per_tuple > 0 &&
-        cycles_per_tuple >
-            pending_->old_cycles_per_tuple * config_.revert_threshold) {
-      recently_reverted_ = control_->current_order();
-      hysteresis_ttl_ = 1;  // skip this order for one optimization cycle
-      NIPO_CHECK(control_->Reorder(pending_->old_order).ok());
-      ++version_;
-      changes_.back().reverted = true;
-      broadcast = control_->current_order();  // the revert is a broadcast too
-    } else {
-      hysteresis_ttl_ = 0;  // a change survived; reopen the space
-    }
-    pending_.reset();
-    last_cycles_per_tuple_ = cycles_per_tuple;
-    return broadcast;
-  }
-
-  ++optimization_count_;
-  ++num_optimizations_;
-  std::optional<std::vector<size_t>> broadcast;
-  if (merged.result.input_tuples > 0) {
-    auto estimate = EstimateOrderSelectivities(*control_, config_, merged);
-    if (estimate.ok()) {
-      last_estimate_ = estimate.ValueOrDie().selectivities;
-      std::vector<size_t> proposed = RankOrderOperators(
-          *control_, config_, merged, estimate.ValueOrDie().selectivities);
-      const bool explore = config_.explore_period > 0 &&
-                           optimization_count_ % config_.explore_period == 0 &&
-                           proposed.size() > 1;
-      if (explore && proposed == control_->current_order()) {
-        std::swap(proposed[0], proposed[1]);
-      }
-      bool blocked = proposed == control_->current_order();
-      if (!blocked && hysteresis_ttl_ > 0) {
-        --hysteresis_ttl_;
-        if (proposed == recently_reverted_) blocked = true;
-      }
-      if (!blocked) {
-        PendingValidation pending;
-        pending.old_order = control_->current_order();
-        pending.old_cycles_per_tuple = last_cycles_per_tuple_;
-        pending.exploration = explore;
-        NIPO_CHECK(control_->Reorder(proposed).ok());
-        ++version_;
-        PeoChange change;
-        change.vector_index = merged.vector_index;
-        change.old_order = pending.old_order;
-        change.new_order = proposed;
-        change.exploration = explore;
-        changes_.push_back(change);
-        if (config_.validate_and_revert) pending_ = std::move(pending);
-        broadcast = control_->current_order();
-      }
-    }
-  }
-  last_cycles_per_tuple_ = cycles_per_tuple;
-  return broadcast;
-}
-
-void ParallelProgressiveCoordinator::FillReport(
-    ParallelProgressiveReport* report) const {
-  report->changes = changes_;
-  report->num_optimizations = num_optimizations_;
-  report->last_estimate = last_estimate_;
-  report->final_order = control_->current_order();
-  report->stale_morsels = stale_morsels_;
+      driver.Run([this](const VectorSample& sample) { OnVector(sample); }));
 }
 
 DriveResult RunBaseline(PipelineExecutor* executor, size_t vector_size) {

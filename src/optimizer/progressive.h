@@ -8,30 +8,31 @@
 #include "exec/vector_driver.h"
 #include "optimizer/estimator.h"
 #include "optimizer/sortedness.h"
-#include "optimizer/statistics.h"
 
 /// \file progressive.h
-/// The progressive optimization driver (paper Section 4.4, Figure 10),
-/// in a single-threaded and a sharded-parallel form (DESIGN.md "Parallel
-/// execution").
+/// The progressive optimization controller (paper Section 4.4, Figure 10).
 ///
-/// Execution proceeds vector by vector. Every `reopt_interval` vectors the
-/// driver takes the latest counter sample, runs the Section 4.2 learning
-/// algorithm to estimate the selectivity of every operator in the current
-/// evaluation order, ranks the operators (ascending selectivity for plain
-/// predicates; cost-weighted rank when expensive predicates or join
+/// Execution proceeds vector by vector. Every `reopt_interval` samples the
+/// controller takes the latest counter sample, runs the Section 4.2
+/// learning algorithm to estimate the selectivity of every operator in the
+/// current evaluation order, ranks the operators (ascending selectivity for
+/// plain predicates; cost-weighted rank when expensive predicates or join
 /// probes participate, with probe cost informed by the Section 5.5-5.6
 /// sortedness detector), and -- if the ranking disagrees with the current
-/// order -- switches the order for subsequent vectors (the JIT-recompile /
-/// primitive-rechain step). The next vector *validates* the switch: if
-/// its cycles-per-tuple deteriorate, the old order is re-established
-/// (Section 4.4's "if they deteriorate, the old order is reestablished").
+/// order or predicate forms -- switches them for subsequent vectors (the
+/// JIT-recompile / primitive-rechain step). The next sample *validates*
+/// the switch: if its cycles-per-tuple deteriorate, the old plan is
+/// re-established (Section 4.4's "if they deteriorate, the old order is
+/// reestablished").
 ///
-/// Under sharded execution the same estimate->rank->validate cycle runs in
-/// ParallelProgressiveCoordinator: worker morsel samples are merged into
-/// windows of `reopt_interval` morsels (SampleMerger; counter sums over
-/// same-order morsels are sufficient statistics for the estimators), and
-/// each decision is broadcast to all workers at morsel boundaries.
+/// One controller serves every driver. The solo drive feeds it each vector
+/// of its own executor. The sharded drive (DESIGN.md "Parallel execution")
+/// runs it on a non-executing control executor and feeds it each morsel
+/// that ran under the current plan, in completion order; ParallelDriver
+/// filters out morsels still in flight under an older plan and broadcasts
+/// the control executor's (order, forms) to every worker whenever the
+/// controller changes them. With one worker the two drives are
+/// bit-identical.
 
 namespace nipo {
 
@@ -74,9 +75,9 @@ struct ProgressiveConfig {
   /// Every k-th optimization additionally explores a perturbed order to
   /// surface correlation effects (Section 4.5); 0 disables exploration.
   size_t explore_period = 0;
-  /// Operator pricing rule (kUnit reproduces the pre-SIMD behaviour).
-  /// The parallel coordinator degrades kSimdAware to kBranchCycles: form
-  /// switches are not broadcast to workers yet (see ROADMAP.md).
+  /// Operator pricing rule (kUnit reproduces the pre-SIMD behaviour). It
+  /// applies on every driver: sharded runs broadcast the forms kSimdAware
+  /// picks together with the order.
   CostPricing pricing = CostPricing::kUnit;
 };
 
@@ -107,15 +108,12 @@ struct ProgressiveReport {
 };
 
 // ---------------------------------------------------------------------------
-// Shared decision core
+// Decision core of ProgressiveOptimizer, exposed for tests and benches.
 // ---------------------------------------------------------------------------
-// Used by both the single-threaded ProgressiveOptimizer and the parallel
-// ParallelProgressiveCoordinator, so the two drivers cannot drift apart;
-// exposed for tests.
 
-/// \brief Runs the Section 4.2 learning algorithm on `sample` (one vector,
-/// or a SampleMerger-merged window of same-order morsels) against the
-/// current evaluation order of `exec`. Errors for inconsistent samples.
+/// \brief Runs the Section 4.2 learning algorithm on `sample` (one vector
+/// or morsel) against the current evaluation order of `exec`. Errors for
+/// inconsistent samples.
 Result<SelectivityEstimate> EstimateOrderSelectivities(
     const PipelineExecutor& exec, const ProgressiveConfig& config,
     const VectorSample& sample);
@@ -135,32 +133,37 @@ std::vector<size_t> RankOrderOperators(
     const VectorSample& sample, const std::vector<double>& selectivities,
     std::vector<PredicateForm>* forms_out = nullptr);
 
-/// \brief Runs a pipeline to completion under progressive optimization.
+/// \brief The progressive controller: consumes per-vector (or per-morsel)
+/// samples and re-plans its executor's evaluation order and predicate
+/// forms between them.
 class ProgressiveOptimizer {
  public:
   ProgressiveOptimizer(PipelineExecutor* executor, ProgressiveConfig config);
 
-  /// Executes the whole table, re-optimizing on the configured cadence.
+  /// Solo drive: executes the whole table vector by vector on the
+  /// executor, re-optimizing on the configured cadence.
   ProgressiveReport Run();
 
-  // Stepping interface, used by the workload driver (exec/workload_driver.h)
-  // to interleave this query with others on a shared worker pool while
-  // replaying exactly the Run() decision sequence: Begin() resets the
-  // optimizer state, OnVector() consumes one per-vector sample (identical
-  // to the hook Run() installs), and Finish() returns the report with the
-  // caller-accumulated drive result filled in. Run() itself is implemented
-  // on top of these three calls, so the paths cannot drift apart.
+  // Stepping interface, used by the sharded drive (core/engine.cc) and the
+  // workload driver (exec/workload_driver.h) while replaying exactly the
+  // Run() decision sequence: Begin() resets the controller, OnVector()
+  // consumes one sample (identical to the hook Run() installs), and
+  // Finish() returns the report with the caller-accumulated drive result
+  // filled in. Run() itself is built on these three calls, so the paths
+  // cannot drift apart.
 
-  /// Resets all optimizer state for a new execution.
+  /// Resets all controller state for a new execution.
   void Begin();
 
-  /// Consumes the sample of the vector that just executed; may Reorder()
-  /// the executor for subsequent vectors.
-  void OnVector(const VectorSample& sample) { HandleVector(sample); }
+  /// Consumes the sample of a vector that ran under the executor's current
+  /// plan. Every `reopt_interval`-th sample fed since Begin() triggers an
+  /// optimization, unless it validates a pending change instead. Returns
+  /// true when the executor's order or forms changed for subsequent
+  /// vectors (a switch or a validation revert).
+  bool OnVector(const VectorSample& sample);
 
   /// Finalizes the report. `drive` is the caller's accumulated result of
-  /// the driven execution (VectorDriver::Run or the workload driver's
-  /// per-vector stepping).
+  /// the driven execution.
   ProgressiveReport Finish(DriveResult drive);
 
  private:
@@ -168,23 +171,20 @@ class ProgressiveOptimizer {
     std::vector<size_t> old_order;
     std::vector<PredicateForm> old_forms;
     double old_cycles_per_tuple = 0;
-    bool exploration = false;
   };
 
-  void HandleVector(const VectorSample& sample);
-  void Optimize(const VectorSample& sample);
+  bool Optimize(const VectorSample& sample);
 
   PipelineExecutor* executor_;
   ProgressiveConfig config_;
   ProgressiveReport report_;
   std::optional<PendingValidation> pending_;
+  size_t samples_ = 0;  ///< samples fed since Begin(): the ReopInt clock
   double last_cycles_per_tuple_ = 0;
-  size_t optimization_count_ = 0;
-  /// Hysteresis: an order (+ forms, under kSimdAware) that validation
-  /// just rolled back is not re-proposed for `hysteresis_ttl_`
-  /// optimization cycles, preventing estimate-noise oscillation
-  /// (propose -> revert -> propose -> ...) while still allowing the
-  /// order back in once conditions change.
+  /// Hysteresis: a plan (order + forms) that validation just rolled back
+  /// is not re-proposed for `hysteresis_ttl_` optimization cycles,
+  /// preventing estimate-noise oscillation (propose -> revert -> propose
+  /// -> ...) while still allowing it back once conditions change.
   std::vector<size_t> recently_reverted_;
   std::vector<PredicateForm> recently_reverted_forms_;
   int hysteresis_ttl_ = 0;
@@ -193,70 +193,12 @@ class ProgressiveOptimizer {
 /// \brief Outcome of a sharded progressively optimized execution.
 struct ParallelProgressiveReport {
   ParallelDriveResult drive;
-  /// PEO trace; vector_index holds the morsel index ending the decision
-  /// window that triggered the change.
+  /// PEO trace; vector_index holds the index of the morsel whose sample
+  /// triggered the change.
   std::vector<PeoChange> changes;
   size_t num_optimizations = 0;
   std::vector<double> last_estimate;
   std::vector<size_t> final_order;
-  /// Morsels excluded from decision windows because they were already in
-  /// flight (under the previous order) when a reorder was broadcast.
-  size_t stale_morsels = 0;
-};
-
-/// \brief The shared optimizer of a sharded execution: one coordinator
-/// receives every worker's morsel samples (serialized by ParallelDriver's
-/// hook lock), merges them into windows of `reopt_interval` same-order
-/// morsels, and runs the estimate->rank->validate cycle on each window.
-///
-/// Decisions are expressed against a *control* executor -- a non-executing
-/// pipeline compiled over the same query that provides operator metadata
-/// and carries the authoritative current order -- and returned to the
-/// driver for broadcast; workers apply them at morsel boundaries.
-/// The coordinator's broadcast count mirrors ParallelDriver's order
-/// version (both start at 0 and advance once per returned order), which is
-/// how MorselRecord::order_version identifies stale-order morsels.
-///
-/// Validation mirrors the single-threaded driver at window granularity:
-/// the first complete window executed under a new order is compared, in
-/// cycles per tuple, against the window that preceded the change, and the
-/// old order is re-established on regression (Section 4.4).
-class ParallelProgressiveCoordinator {
- public:
-  ParallelProgressiveCoordinator(PipelineExecutor* control,
-                                 ProgressiveConfig config);
-
-  /// ParallelDriver::MorselHook entry point. Returns an order to broadcast
-  /// when a window triggers a reorder (or a validation revert).
-  std::optional<std::vector<size_t>> OnMorsel(const MorselRecord& record);
-
-  /// Exports the PEO trace into `report` (call after the drive completes;
-  /// `drive` is filled by the caller).
-  void FillReport(ParallelProgressiveReport* report) const;
-
- private:
-  std::optional<std::vector<size_t>> DecideOnWindow(
-      const VectorSample& merged);
-
-  PipelineExecutor* control_;
-  ProgressiveConfig config_;
-  SampleMerger window_;
-  uint64_t version_ = 0;  ///< broadcasts issued; mirrors the driver's version
-  std::vector<PeoChange> changes_;
-  size_t num_optimizations_ = 0;
-  std::vector<double> last_estimate_;
-  size_t stale_morsels_ = 0;
-  // Validation + hysteresis state, mirroring ProgressiveOptimizer.
-  struct PendingValidation {
-    std::vector<size_t> old_order;
-    double old_cycles_per_tuple = 0;
-    bool exploration = false;
-  };
-  std::optional<PendingValidation> pending_;
-  double last_cycles_per_tuple_ = 0;
-  size_t optimization_count_ = 0;
-  std::vector<size_t> recently_reverted_;
-  int hysteresis_ttl_ = 0;
 };
 
 /// \brief Convenience: run `executor` without any optimization (the

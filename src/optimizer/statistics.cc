@@ -6,9 +6,7 @@
 /// \file statistics.cc
 /// Column statistics collection (min/max, equi-width histograms, sampled
 /// distinct counts) and histogram-based selectivity estimation for the
-/// static optimizer, with typed access dispatch over column types; plus
-/// the SampleMerger window accumulator used by the parallel progressive
-/// coordinator (DESIGN.md "Parallel execution").
+/// static optimizer, with typed access dispatch over column types.
 
 namespace nipo {
 
@@ -176,21 +174,6 @@ double TableStatistics::EstimateOperatorSelectivity(const OperatorSpec& op,
   if (!stats.ok()) return fallback;
   return stats.ValueOrDie()->EstimateSelectivity(op.predicate.op,
                                                  op.predicate.value);
-}
-
-void SampleMerger::Add(const VectorSample& sample) {
-  merged_.vector_index = std::max(merged_.vector_index, sample.vector_index);
-  merged_.result.input_tuples += sample.result.input_tuples;
-  merged_.result.qualifying_tuples += sample.result.qualifying_tuples;
-  merged_.result.zone_skipped += sample.result.zone_skipped;
-  merged_.result.aggregate += sample.result.aggregate;
-  merged_.counters += sample.counters;
-  ++count_;
-}
-
-void SampleMerger::Reset() {
-  merged_ = VectorSample{};
-  count_ = 0;
 }
 
 }  // namespace nipo

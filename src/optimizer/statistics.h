@@ -5,14 +5,11 @@
 #include <vector>
 
 #include "exec/operators.h"
-#include "exec/vector_driver.h"
 #include "storage/table.h"
 
 /// \file statistics.h
 /// Compile-time column statistics: equi-width histograms, min/max, and a
-/// sampled distinct-count estimate -- plus the run-time SampleMerger that
-/// folds per-morsel counter samples into one merged window statistic for
-/// the parallel progressive coordinator (DESIGN.md "Parallel execution").
+/// sampled distinct-count estimate.
 ///
 /// The compile-time statistics power the *static* optimizer baseline
 /// (optimizer/static_optimizer.h) -- the component whose failure modes
@@ -83,39 +80,6 @@ class TableStatistics {
  private:
   uint64_t row_count_ = 0;
   std::vector<std::pair<std::string, ColumnStatistics>> columns_;
-};
-
-/// \brief Merges per-morsel (or per-vector) execution samples into one
-/// window sample that is statistically equivalent for the Section 4.2
-/// estimators.
-///
-/// The learning algorithm consumes only event *totals* over a window
-/// executed under one evaluation order (tuples in/out, branches not taken,
-/// misprediction splits, L3 accesses), and every one of those totals is
-/// additive across disjoint row ranges. Summing the samples of morsels
-/// that ran under the same order -- regardless of which worker thread ran
-/// them -- therefore yields exactly the sample a single machine would have
-/// produced for the union of those rows, which is why merged per-morsel
-/// statistics keep the paper's estimators valid under sharded execution
-/// (the determinism argument in DESIGN.md "Parallel execution").
-class SampleMerger {
- public:
-  /// Folds `sample` into the window. The caller is responsible for only
-  /// adding samples taken under one evaluation order.
-  void Add(const VectorSample& sample);
-
-  /// Number of samples folded in since the last Reset().
-  size_t count() const { return count_; }
-
-  /// The merged window: summed results and counters; vector_index is the
-  /// largest added index (the window's end position in the scan).
-  const VectorSample& merged() const { return merged_; }
-
-  void Reset();
-
- private:
-  VectorSample merged_;
-  size_t count_ = 0;
 };
 
 }  // namespace nipo

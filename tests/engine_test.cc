@@ -44,63 +44,68 @@ TEST(EngineTest, RegisterAndLookup) {
             StatusCode::kInvalidArgument);
 }
 
+ExecOptions Options(ExecMode mode, size_t vector_size) {
+  ExecOptions options;
+  options.mode = mode;
+  options.progressive.vector_size = vector_size;
+  return options;
+}
+
 TEST(EngineTest, BaselineExecutesSpecOrder) {
   Engine engine;
   ASSERT_TRUE(engine.RegisterTable(MakeTable("t", 50'000)).ok());
-  auto r = engine.ExecuteBaseline(MakeQuery(), 4'096);
+  auto r = engine.Execute(MakeQuery(), Options(ExecMode::kBaseline, 4'096));
   ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r.ValueOrDie().order, (std::vector<size_t>{0, 1}));
-  EXPECT_GT(r.ValueOrDie().drive.qualifying_tuples, 0u);
+  ASSERT_TRUE(r.ValueOrDie().baseline.has_value());
+  EXPECT_EQ(r.ValueOrDie().baseline->order, (std::vector<size_t>{0, 1}));
+  EXPECT_GT(r.ValueOrDie().qualifying_tuples, 0u);
   // aggregate counts qualifying rows since v == 1.
-  EXPECT_DOUBLE_EQ(
-      r.ValueOrDie().drive.aggregate,
-      static_cast<double>(r.ValueOrDie().drive.qualifying_tuples));
+  EXPECT_DOUBLE_EQ(r.ValueOrDie().aggregate,
+                   static_cast<double>(r.ValueOrDie().qualifying_tuples));
 }
 
 TEST(EngineTest, BaselineHonorsExplicitOrder) {
   Engine engine;
   ASSERT_TRUE(engine.RegisterTable(MakeTable("t", 50'000)).ok());
-  auto r = engine.ExecuteBaseline(MakeQuery(), 4'096,
-                                  std::vector<size_t>{1, 0});
+  ExecOptions options = Options(ExecMode::kBaseline, 4'096);
+  options.order = std::vector<size_t>{1, 0};
+  auto r = engine.Execute(MakeQuery(), options);
   ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r.ValueOrDie().order, (std::vector<size_t>{1, 0}));
+  EXPECT_EQ(r.ValueOrDie().final_order, (std::vector<size_t>{1, 0}));
 }
 
 TEST(EngineTest, BaselineIsDeterministic) {
   Engine engine;
   ASSERT_TRUE(engine.RegisterTable(MakeTable("t", 50'000)).ok());
-  auto a = engine.ExecuteBaseline(MakeQuery(), 4'096);
-  auto b = engine.ExecuteBaseline(MakeQuery(), 4'096);
+  auto a = engine.Execute(MakeQuery(), Options(ExecMode::kBaseline, 4'096));
+  auto b = engine.Execute(MakeQuery(), Options(ExecMode::kBaseline, 4'096));
   ASSERT_TRUE(a.ok() && b.ok());
-  EXPECT_EQ(a.ValueOrDie().drive.total.cycles,
-            b.ValueOrDie().drive.total.cycles);
-  EXPECT_EQ(a.ValueOrDie().drive.total.l3_accesses,
-            b.ValueOrDie().drive.total.l3_accesses);
+  EXPECT_EQ(a.ValueOrDie().counters.cycles, b.ValueOrDie().counters.cycles);
+  EXPECT_EQ(a.ValueOrDie().counters.l3_accesses,
+            b.ValueOrDie().counters.l3_accesses);
 }
 
 TEST(EngineTest, ProgressiveMatchesBaselineResult) {
   Engine engine;
   ASSERT_TRUE(engine.RegisterTable(MakeTable("t", 80'000)).ok());
-  auto base = engine.ExecuteBaseline(MakeQuery(), 4'096);
-  ProgressiveConfig cfg;
-  cfg.vector_size = 4'096;
-  cfg.reopt_interval = 3;
-  auto prog = engine.ExecuteProgressive(MakeQuery(), cfg);
+  auto base =
+      engine.Execute(MakeQuery(), Options(ExecMode::kBaseline, 4'096));
+  ExecOptions options = Options(ExecMode::kProgressive, 4'096);
+  options.progressive.reopt_interval = 3;
+  auto prog = engine.Execute(MakeQuery(), options);
   ASSERT_TRUE(base.ok() && prog.ok());
-  EXPECT_EQ(base.ValueOrDie().drive.qualifying_tuples,
-            prog.ValueOrDie().drive.qualifying_tuples);
-  EXPECT_DOUBLE_EQ(base.ValueOrDie().drive.aggregate,
-                   prog.ValueOrDie().drive.aggregate);
+  EXPECT_EQ(base.ValueOrDie().qualifying_tuples,
+            prog.ValueOrDie().qualifying_tuples);
+  EXPECT_DOUBLE_EQ(base.ValueOrDie().aggregate, prog.ValueOrDie().aggregate);
 }
 
 TEST(EngineTest, ProgressiveHonorsInitialOrder) {
   Engine engine;
   ASSERT_TRUE(engine.RegisterTable(MakeTable("t", 20'000)).ok());
-  ProgressiveConfig cfg;
-  cfg.vector_size = 4'096;
-  cfg.reopt_interval = 1000;  // effectively never reoptimize
-  auto prog = engine.ExecuteProgressive(MakeQuery(), cfg,
-                                        std::vector<size_t>{1, 0});
+  ExecOptions options = Options(ExecMode::kProgressive, 4'096);
+  options.progressive.reopt_interval = 1000;  // effectively never reoptimize
+  options.order = std::vector<size_t>{1, 0};
+  auto prog = engine.Execute(MakeQuery(), options);
   ASSERT_TRUE(prog.ok());
   EXPECT_EQ(prog.ValueOrDie().final_order, (std::vector<size_t>{1, 0}));
 }
@@ -108,21 +113,43 @@ TEST(EngineTest, ProgressiveHonorsInitialOrder) {
 TEST(EngineTest, ErrorsPropagate) {
   Engine engine;
   ASSERT_TRUE(engine.RegisterTable(MakeTable("t", 100)).ok());
+  const ExecOptions options = Options(ExecMode::kBaseline, 1024);
   QuerySpec bad = MakeQuery();
   bad.table = "missing";
-  EXPECT_EQ(engine.ExecuteBaseline(bad, 1024).status().code(),
+  EXPECT_EQ(engine.Execute(bad, options).status().code(),
             StatusCode::kNotFound);
   bad = MakeQuery();
   bad.ops[0].predicate.column = "zzz";
-  EXPECT_FALSE(engine.ExecuteBaseline(bad, 1024).ok());
-  EXPECT_FALSE(engine.ExecuteBaseline(MakeQuery(), 0).ok());
-  ProgressiveConfig cfg;
-  cfg.vector_size = 0;
-  EXPECT_FALSE(engine.ExecuteProgressive(MakeQuery(), cfg).ok());
-  // Bad explicit order.
+  EXPECT_FALSE(engine.Execute(bad, options).ok());
   EXPECT_FALSE(
-      engine.ExecuteBaseline(MakeQuery(), 1024, std::vector<size_t>{0, 0})
-          .ok());
+      engine.Execute(MakeQuery(), Options(ExecMode::kBaseline, 0)).ok());
+  EXPECT_FALSE(
+      engine.Execute(MakeQuery(), Options(ExecMode::kProgressive, 0)).ok());
+  // Bad explicit order.
+  ExecOptions bad_order = options;
+  bad_order.order = std::vector<size_t>{0, 0};
+  EXPECT_FALSE(engine.Execute(MakeQuery(), bad_order).ok());
+}
+
+// A zero re-optimization interval is user input: it must fail the call,
+// not abort the process, on either driver.
+StatusCode ZeroReoptIntervalStatus(ExecDriver driver) {
+  Engine engine;
+  EXPECT_TRUE(engine.RegisterTable(MakeTable("t", 10'000)).ok());
+  ExecOptions options = Options(ExecMode::kProgressive, 1024);
+  options.driver = driver;
+  options.progressive.reopt_interval = 0;
+  return engine.Execute(MakeQuery(), options).status().code();
+}
+
+TEST(EngineTest, ZeroReoptIntervalIsInvalidSolo) {
+  EXPECT_EQ(ZeroReoptIntervalStatus(ExecDriver::kSolo),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(EngineTest, ZeroReoptIntervalIsInvalidSharded) {
+  EXPECT_EQ(ZeroReoptIntervalStatus(ExecDriver::kSharded),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(EngineTest, AllOrdersEnumerates) {

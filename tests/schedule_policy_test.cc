@@ -205,7 +205,7 @@ TEST(SchedulePolicyTest, EngineSrwfStartsSmallTablesFirst) {
   Engine engine = MakePolicyEngine();
   WorkloadSpec spec = MakePolicyWorkload(engine);
   spec.options.policy = SchedulePolicy::kSrwf;
-  auto result = engine.ExecuteWorkload(spec);
+  auto result = engine.Execute(spec);
   ASSERT_TRUE(result.ok());
   const WorkloadReport& report = result.ValueOrDie();
   EXPECT_EQ(report.policy, SchedulePolicy::kSrwf);
@@ -225,7 +225,7 @@ TEST(SchedulePolicyTest, EnginePriorityAdmitsHighestFirst) {
   Engine engine = MakePolicyEngine();
   WorkloadSpec spec = MakePolicyWorkload(engine);
   spec.options.policy = SchedulePolicy::kPriority;
-  auto result = engine.ExecuteWorkload(spec);
+  auto result = engine.Execute(spec);
   ASSERT_TRUE(result.ok());
   const WorkloadReport& report = result.ValueOrDie();
   EXPECT_EQ(report.queries[IndexOf(report, "small_1")].sim_start_msec, 0.0);
@@ -239,13 +239,13 @@ TEST(SchedulePolicyTest, PoliciesLeaveQueryCountersUntouched) {
   WorkloadSpec spec = MakePolicyWorkload(engine);
   spec.options.num_threads = 2;
   spec.options.max_concurrent = 2;
-  auto fifo = engine.ExecuteWorkload(spec);
+  auto fifo = engine.Execute(spec);
   ASSERT_TRUE(fifo.ok());
   for (const SchedulePolicy policy :
        {SchedulePolicy::kSrwf, SchedulePolicy::kPriority,
         SchedulePolicy::kFootprintAware}) {
     spec.options.policy = policy;
-    auto result = engine.ExecuteWorkload(spec);
+    auto result = engine.Execute(spec);
     ASSERT_TRUE(result.ok());
     const WorkloadReport& report = result.ValueOrDie();
     for (size_t i = 0; i < report.queries.size(); ++i) {
@@ -281,7 +281,7 @@ TEST(SchedulePolicyTest, EngineFootprintAwareSerializesThrashingPair) {
   spec.options.num_threads = 2;
   spec.options.max_concurrent = 2;
   spec.options.policy = SchedulePolicy::kFootprintAware;
-  auto result = engine.ExecuteWorkload(spec);
+  auto result = engine.Execute(spec);
   ASSERT_TRUE(result.ok());
   const WorkloadReport& report = result.ValueOrDie();
   // Each streams ~700 KB against a 960 KB L3: capped claims exhaust the

@@ -154,15 +154,15 @@ WorkloadSpec MakeHomogeneousWorkload(size_t n) {
 }
 
 DriveResult SoloDrive(const Engine& engine, const WorkloadQuery& q) {
-  if (q.progressive) {
-    auto r = engine.ExecuteProgressive(q.query, q.config, q.initial_order);
-    EXPECT_TRUE(r.ok());
-    return r.ValueOrDie().drive;
-  }
-  auto r = engine.ExecuteBaseline(q.query, q.config.vector_size,
-                                  q.initial_order);
+  ExecOptions options;
+  options.mode = q.progressive ? ExecMode::kProgressive : ExecMode::kBaseline;
+  options.driver = ExecDriver::kSolo;
+  options.progressive = q.config;
+  options.order = q.initial_order;
+  auto r = engine.Execute(q.query, options);
   EXPECT_TRUE(r.ok());
-  return r.ValueOrDie().drive;
+  const ExecReport& report = r.ValueOrDie();
+  return q.progressive ? report.progressive->drive : report.baseline->drive;
 }
 
 /// The fault-mode QuantumTrace replay input recorded in a report.
@@ -206,7 +206,7 @@ TEST(ServiceFaultsTest, FaultFreeRunKeepsFaultFieldsInert) {
   WorkloadSpec spec = MakeMixedWorkload(engine);
   spec.options.num_threads = 2;
   spec.options.max_concurrent = 2;
-  auto result = engine.ExecuteWorkload(spec);
+  auto result = engine.Execute(spec);
   ASSERT_TRUE(result.ok());
   const WorkloadReport& report = result.ValueOrDie();
   EXPECT_EQ(report.queries_ok, report.queries.size());
@@ -238,7 +238,7 @@ TEST(ServiceFaultsTest, RetryRoutingWithoutFaultsMatchesSoloBitwise) {
   spec.options.num_threads = 2;
   spec.options.max_concurrent = 2;
   spec.options.retry.max_attempts = 4;
-  auto result = engine.ExecuteWorkload(spec);
+  auto result = engine.Execute(spec);
   ASSERT_TRUE(result.ok());
   const WorkloadReport& report = result.ValueOrDie();
   EXPECT_EQ(report.queries_ok, report.queries.size());
@@ -274,9 +274,9 @@ TEST(ServiceFaultsTest, FaultScheduleIsIdenticalAcrossConcurrencyAndReruns) {
       spec.options.retry.max_attempts = 4;
       spec.options.retry.backoff_base_msec = 0.5;
       spec.options.retry.backoff_cap_msec = 8.0;
-      auto first = engine.ExecuteWorkload(spec);
+      auto first = engine.Execute(spec);
       ASSERT_TRUE(first.ok());
-      auto second = engine.ExecuteWorkload(spec);
+      auto second = engine.Execute(spec);
       ASSERT_TRUE(second.ok());
       const WorkloadReport& a = first.ValueOrDie();
       const WorkloadReport& b = second.ValueOrDie();
@@ -328,7 +328,7 @@ TEST(ServiceFaultsTest, StallsInflateScheduleNotCounters) {
   WorkloadSpec spec = MakeMixedWorkload(engine);
   spec.options.num_threads = 2;
   spec.options.max_concurrent = 2;
-  auto clean_result = engine.ExecuteWorkload(spec);
+  auto clean_result = engine.Execute(spec);
   ASSERT_TRUE(clean_result.ok());
   const WorkloadReport& clean = clean_result.ValueOrDie();
 
@@ -338,7 +338,7 @@ TEST(ServiceFaultsTest, StallsInflateScheduleNotCounters) {
   // slow).
   spec.options.faults.stall_rate = 1.0;
   spec.options.faults.stall_factor = 4.0;
-  auto stalled_result = engine.ExecuteWorkload(spec);
+  auto stalled_result = engine.Execute(spec);
   ASSERT_TRUE(stalled_result.ok());
   const WorkloadReport& stalled = stalled_result.ValueOrDie();
   ASSERT_EQ(stalled.queries.size(), clean.queries.size());
@@ -369,7 +369,7 @@ TEST(ServiceFaultsTest, TransientFaultsExhaustRetryBudgetWithCappedBackoff) {
   spec.options.retry.max_attempts = 3;
   spec.options.retry.backoff_base_msec = 2.0;
   spec.options.retry.backoff_cap_msec = 64.0;
-  auto result = engine.ExecuteWorkload(spec);
+  auto result = engine.Execute(spec);
   ASSERT_TRUE(result.ok());
   const WorkloadReport& report = result.ValueOrDie();
   EXPECT_EQ(report.queries_failed, report.queries.size());
@@ -399,7 +399,7 @@ TEST(ServiceFaultsTest, PoisonQueryFailsHardWithoutRetry) {
   WorkloadSpec spec = MakeMixedWorkload(engine);
   spec.options.faults.poison_queries = {1};
   spec.options.retry.max_attempts = 3;  // retry must NOT apply to poison
-  auto result = engine.ExecuteWorkload(spec);
+  auto result = engine.Execute(spec);
   ASSERT_TRUE(result.ok());
   const WorkloadReport& report = result.ValueOrDie();
   EXPECT_EQ(report.queries_failed, 1u);
@@ -429,7 +429,7 @@ TEST(ServiceFaultsTest, DeadlineKillsAtVectorBoundaryWithPartialProgress) {
   const DriveResult solo = SoloDrive(engine, spec.queries[0]);
   ASSERT_GT(solo.simulated_msec, 0.0);
   spec.queries[0].sim_deadline_msec = 0.3 * solo.simulated_msec;
-  auto result = engine.ExecuteWorkload(spec);
+  auto result = engine.Execute(spec);
   ASSERT_TRUE(result.ok());
   const WorkloadReport& report = result.ValueOrDie();
   EXPECT_EQ(report.queries_deadline_exceeded, 1u);
@@ -453,7 +453,7 @@ TEST(ServiceFaultsTest, CancellationKillsAtAbsoluteSimInstant) {
   spec.queries[1].sim_cancel_msec = 0.2 * solo.simulated_msec;
   spec.options.num_threads = 2;
   spec.options.max_concurrent = 2;
-  auto result = engine.ExecuteWorkload(spec);
+  auto result = engine.Execute(spec);
   ASSERT_TRUE(result.ok());
   const WorkloadReport& report = result.ValueOrDie();
   EXPECT_EQ(report.queries_cancelled, 1u);
@@ -479,14 +479,14 @@ TEST(ServiceFaultsTest, DeadlineSheddingPrefersEarlyRejection) {
   }
   spec.options.num_threads = 1;
   spec.options.max_concurrent = 1;
-  auto late_result = engine.ExecuteWorkload(spec);
+  auto late_result = engine.Execute(spec);
   ASSERT_TRUE(late_result.ok());
   const WorkloadReport& late = late_result.ValueOrDie();
   EXPECT_GT(late.queries_deadline_exceeded, 0u);
   EXPECT_EQ(late.queries_shed, 0u);
 
   spec.options.shed_deadline = true;
-  auto shed_result = engine.ExecuteWorkload(spec);
+  auto shed_result = engine.Execute(spec);
   ASSERT_TRUE(shed_result.ok());
   const WorkloadReport& shed = shed_result.ValueOrDie();
   // Shedding turns late deadline misses into admission-time rejections:
@@ -530,7 +530,7 @@ TEST(ServiceFaultsTest, FaultyScheduleReplaysExactly) {
   spec.options.shed_deadline = true;
   spec.queries[2].sim_deadline_msec = 10.0 * solo.simulated_msec;
   spec.queries[5].sim_deadline_msec = 0.5 * solo.simulated_msec;
-  auto result = engine.ExecuteWorkload(spec);
+  auto result = engine.Execute(spec);
   ASSERT_TRUE(result.ok());
   const WorkloadReport& report = result.ValueOrDie();
 
@@ -578,7 +578,7 @@ TEST(ServiceFaultsTest, ContendedOpenLoopRetriesRecycleMachines) {
   spec.options.retry.backoff_base_msec = 0.5;
   spec.options.retry.backoff_cap_msec = 8.0;
   ASSERT_GE(spec.queries.size(), 4 * spec.options.max_concurrent);
-  auto result = engine.ExecuteWorkload(spec);
+  auto result = engine.Execute(spec);
   ASSERT_TRUE(result.ok());
   const WorkloadReport& report = result.ValueOrDie();
   // The fixture is tuned so that queries overlap and faults retry.
@@ -683,12 +683,13 @@ TEST(ServiceFaultsTest, DeadlineShedderCalibratesOnlineAndNeverShedsBlind) {
 TEST(ServiceFaultsTest, FkOutOfRangeFailsSoloEntryPoints) {
   Engine engine = MakeFaultEngine();
   const QuerySpec bad = JoinQuery(engine, "bad_fact");
-  auto baseline = engine.ExecuteBaseline(bad, 2'048);
+  ExecOptions options;
+  options.progressive.vector_size = 2'048;
+  auto baseline = engine.Execute(bad, options);
   EXPECT_EQ(baseline.status().code(), StatusCode::kOutOfRange);
   EXPECT_NE(baseline.status().message().find("dimension"), std::string::npos);
-  ProgressiveConfig config;
-  config.vector_size = 2'048;
-  auto progressive = engine.ExecuteProgressive(bad, config);
+  options.mode = ExecMode::kProgressive;
+  auto progressive = engine.Execute(bad, options);
   EXPECT_EQ(progressive.status().code(), StatusCode::kOutOfRange);
 }
 
@@ -696,10 +697,11 @@ TEST(ServiceFaultsTest, FkOutOfRangeFailsParallelEntryPoints) {
   Engine engine = MakeFaultEngine();
   const QuerySpec bad = JoinQuery(engine, "bad_fact");
   for (size_t threads : TestThreadCounts()) {
-    ParallelOptions options;
+    ExecOptions options;
+    options.driver = ExecDriver::kSharded;
     options.num_threads = threads;
-    options.morsel_size = 2'048;
-    auto report = engine.ExecuteBaselineParallel(bad, options);
+    options.progressive.vector_size = 2'048;
+    auto report = engine.Execute(bad, options);
     EXPECT_EQ(report.status().code(), StatusCode::kOutOfRange)
         << threads << " threads";
   }
@@ -726,7 +728,7 @@ TEST(ServiceFaultsTest, FkOutOfRangeFailsWorkloadQueryKeepsOthers) {
     spec.options.num_threads = 2;
     spec.options.max_concurrent = 2;
     spec.options.retry.max_attempts = max_attempts;
-    auto result = engine.ExecuteWorkload(spec);
+    auto result = engine.Execute(spec);
     ASSERT_TRUE(result.ok());
     const WorkloadReport& report = result.ValueOrDie();
     EXPECT_EQ(report.queries_failed, 1u);
@@ -773,13 +775,13 @@ TEST(ServiceFaultsTest, ParallelCancellationStopsAtMorselBoundary) {
   Engine engine = MakeFaultEngine();
   const QuerySpec q = ScanQuery("fact_a", 90, 50, 2);
   std::atomic<bool> cancel{true};  // pre-cancelled: nothing may run
-  ParallelOptions options;
+  ExecOptions options;
   options.num_threads = 4;
-  options.morsel_size = 2'048;
+  options.progressive.vector_size = 2'048;
   options.cancel = &cancel;
-  auto result = engine.ExecuteBaselineParallel(q, options);
+  auto result = engine.Execute(q, options);
   ASSERT_TRUE(result.ok());
-  const ParallelBaselineReport& report = result.ValueOrDie();
+  const ParallelBaselineReport& report = *result.ValueOrDie().sharded_baseline;
   EXPECT_TRUE(report.drive.cancelled);
   EXPECT_TRUE(report.drive.error.ok());
   EXPECT_EQ(report.drive.merged.num_vectors, 0u);
@@ -787,17 +789,17 @@ TEST(ServiceFaultsTest, ParallelCancellationStopsAtMorselBoundary) {
 
   // Not cancelled: the identical call runs to completion.
   cancel.store(false);
-  auto full = engine.ExecuteBaselineParallel(q, options);
+  auto full = engine.Execute(q, options);
   ASSERT_TRUE(full.ok());
-  EXPECT_FALSE(full.ValueOrDie().drive.cancelled);
-  EXPECT_GT(full.ValueOrDie().drive.merged.num_vectors, 0u);
+  EXPECT_FALSE(full.ValueOrDie().sharded_baseline->drive.cancelled);
+  EXPECT_GT(full.ValueOrDie().sharded_baseline->drive.merged.num_vectors, 0u);
 }
 
 TEST(ServiceFaultsTest, FaultOptionsValidate) {
   Engine engine = MakeFaultEngine();
   const WorkloadSpec base = MakeMixedWorkload(engine);
   auto expect_invalid = [&](WorkloadSpec spec) {
-    EXPECT_EQ(engine.ExecuteWorkload(spec).status().code(),
+    EXPECT_EQ(engine.Execute(spec).status().code(),
               StatusCode::kInvalidArgument);
   };
   WorkloadSpec spec = base;

@@ -13,8 +13,8 @@
 // Differential test layer for the open-loop service mode (DESIGN.md
 // Section 7 "Open-loop service mode"):
 //  (a) open-loop at vanishing arrival rate with max_concurrent = 1 is
-//      bit-identical — results AND counters — to solo ExecuteBaseline /
-//      ExecuteProgressive;
+//      bit-identical — results AND counters — to solo Execute(QuerySpec)
+//      runs;
 //  (b) the simultaneous-arrival limit (rate -> infinity) reproduces the
 //      closed-queue run event-for-event;
 //  (c) latency figures are bit-identical across reruns for every
@@ -140,17 +140,16 @@ WorkloadSpec MakeHomogeneousWorkload(size_t n) {
 
 DriveResult SoloDrive(const Engine& engine, const WorkloadQuery& q,
                       std::vector<size_t>* final_order = nullptr) {
-  if (q.progressive) {
-    auto r = engine.ExecuteProgressive(q.query, q.config, q.initial_order);
-    EXPECT_TRUE(r.ok());
-    if (final_order != nullptr) *final_order = r.ValueOrDie().final_order;
-    return r.ValueOrDie().drive;
-  }
-  auto r =
-      engine.ExecuteBaseline(q.query, q.config.vector_size, q.initial_order);
+  ExecOptions options;
+  options.mode = q.progressive ? ExecMode::kProgressive : ExecMode::kBaseline;
+  options.driver = ExecDriver::kSolo;
+  options.progressive = q.config;
+  options.order = q.initial_order;
+  auto r = engine.Execute(q.query, options);
   EXPECT_TRUE(r.ok());
-  if (final_order != nullptr) *final_order = r.ValueOrDie().order;
-  return r.ValueOrDie().drive;
+  const ExecReport& report = r.ValueOrDie();
+  if (final_order != nullptr) *final_order = report.final_order;
+  return q.progressive ? report.progressive->drive : report.baseline->drive;
 }
 
 /// The QuantumTrace replay input recorded in a report.
@@ -180,7 +179,7 @@ TEST(ServiceModeTest, VanishingArrivalRateMatchesSoloRunsBitwise) {
   spec.options.arrival.rate_qps = 1e-3;  // 1e6 msec between arrivals
   for (size_t threads : TestThreadCounts()) {
     spec.options.num_threads = threads;
-    auto result = engine.ExecuteWorkload(spec);
+    auto result = engine.Execute(spec);
     ASSERT_TRUE(result.ok());
     const WorkloadReport& report = result.ValueOrDie();
     ASSERT_EQ(report.queries.size(), spec.queries.size());
@@ -225,13 +224,13 @@ TEST(ServiceModeTest, SimultaneousArrivalsMatchClosedQueueEventForEvent) {
       WorkloadSpec spec = MakeMixedWorkload(engine);
       spec.options.num_threads = threads;
       spec.options.max_concurrent = max_concurrent;
-      auto closed_result = engine.ExecuteWorkload(spec);
+      auto closed_result = engine.Execute(spec);
       ASSERT_TRUE(closed_result.ok());
       const WorkloadReport& closed = closed_result.ValueOrDie();
 
       spec.options.arrival.kind = ArrivalKind::kUniform;
       spec.options.arrival.rate_qps = std::numeric_limits<double>::infinity();
-      auto open_result = engine.ExecuteWorkload(spec);
+      auto open_result = engine.Execute(spec);
       ASSERT_TRUE(open_result.ok());
       const WorkloadReport& open = open_result.ValueOrDie();
 
@@ -273,9 +272,9 @@ TEST(ServiceModeTest, LatencyIsDeterministicAndDecomposesExactly) {
       spec.options.arrival.kind = ArrivalKind::kPoisson;
       spec.options.arrival.rate_qps = 100.0;
       spec.options.arrival.seed = 7;
-      auto first = engine.ExecuteWorkload(spec);
+      auto first = engine.Execute(spec);
       ASSERT_TRUE(first.ok());
-      auto second = engine.ExecuteWorkload(spec);
+      auto second = engine.Execute(spec);
       ASSERT_TRUE(second.ok());
       const WorkloadReport& a = first.ValueOrDie();
       const WorkloadReport& b = second.ValueOrDie();
@@ -330,7 +329,7 @@ TEST(ServiceModeTest, OpenLoopAdaptiveContendedScheduleReplaysExactly) {
   spec.options.arrival.rate_qps = 200.0;
   spec.options.arrival.seed = 13;
   spec.options.arrival.burst_len = 3;
-  auto result = engine.ExecuteWorkload(spec);
+  auto result = engine.Execute(spec);
   ASSERT_TRUE(result.ok());
   const WorkloadReport& report = result.ValueOrDie();
   EXPECT_EQ(report.arrival_kind, ArrivalKind::kBursty);
@@ -407,7 +406,7 @@ TEST(ServiceModeTest, OverloadGrowsQueueWaitMonotonically) {
   // Arrivals 5x faster than the server drains: every gap adds another
   // (service - gap) of backlog.
   spec.options.arrival.rate_qps = 5e3 / solo.simulated_msec;
-  auto result = engine.ExecuteWorkload(spec);
+  auto result = engine.Execute(spec);
   ASSERT_TRUE(result.ok());
   const WorkloadReport& report = result.ValueOrDie();
   for (size_t i = 1; i < report.queries.size(); ++i) {
@@ -438,7 +437,7 @@ TEST(ServiceModeTest, AdaptiveControllerNeverStarvesUnderOverload) {
   spec.options.admission.hold_epochs = 0;
   spec.options.arrival.kind = ArrivalKind::kUniform;
   spec.options.arrival.rate_qps = 5e3 / solo.simulated_msec;
-  auto result = engine.ExecuteWorkload(spec);
+  auto result = engine.Execute(spec);
   ASSERT_TRUE(result.ok());
   const WorkloadReport& report = result.ValueOrDie();
   EXPECT_GT(report.admission_decreases, 0u);
@@ -545,21 +544,21 @@ TEST(ServiceModeTest, ServiceOptionsValidate) {
   WorkloadSpec spec = MakeMixedWorkload(engine);
   spec.options.arrival.kind = ArrivalKind::kPoisson;
   spec.options.arrival.rate_qps = 0;  // open kind needs a positive rate
-  EXPECT_EQ(engine.ExecuteWorkload(spec).status().code(),
+  EXPECT_EQ(engine.Execute(spec).status().code(),
             StatusCode::kInvalidArgument);
   spec.options.arrival.rate_qps = 100.0;
   spec.options.arrival.kind = ArrivalKind::kBursty;
   spec.options.arrival.burst_rate_qps = 50.0;  // below the mean rate
-  EXPECT_EQ(engine.ExecuteWorkload(spec).status().code(),
+  EXPECT_EQ(engine.Execute(spec).status().code(),
             StatusCode::kInvalidArgument);
   spec.options.arrival.burst_rate_qps = 0;
   spec.options.arrival.burst_len = 0;
-  EXPECT_EQ(engine.ExecuteWorkload(spec).status().code(),
+  EXPECT_EQ(engine.Execute(spec).status().code(),
             StatusCode::kInvalidArgument);
   spec.options.arrival = ArrivalSpec{};
   spec.options.adaptive_admission = true;
   spec.options.admission.epoch_quanta = 0;
-  EXPECT_EQ(engine.ExecuteWorkload(spec).status().code(),
+  EXPECT_EQ(engine.Execute(spec).status().code(),
             StatusCode::kInvalidArgument);
 }
 

@@ -144,46 +144,5 @@ TEST(TableStatisticsTest, BuildsAllColumnsAndEstimates) {
       stats.ValueOrDie().EstimateOperatorSelectivity(unknown, 0.3), 0.3);
 }
 
-TEST(SampleMergerTest, SumsResultsAndCounters) {
-  SampleMerger merger;
-  EXPECT_EQ(merger.count(), 0u);
-
-  VectorSample first;
-  first.vector_index = 4;
-  first.result.input_tuples = 100;
-  first.result.qualifying_tuples = 10;
-  first.result.aggregate = 1.5;
-  first.counters.branches_not_taken = 50;
-  first.counters.taken_mispredictions = 3;
-  first.counters.l3_accesses = 7;
-  first.counters.cycles = 1'000;
-  VectorSample second;
-  second.vector_index = 2;  // out-of-order completion (stolen morsel)
-  second.result.input_tuples = 60;
-  second.result.qualifying_tuples = 5;
-  second.result.aggregate = 0.25;
-  second.counters.branches_not_taken = 30;
-  second.counters.not_taken_mispredictions = 2;
-  second.counters.cycles = 700;
-
-  merger.Add(first);
-  merger.Add(second);
-  EXPECT_EQ(merger.count(), 2u);
-  const VectorSample& merged = merger.merged();
-  EXPECT_EQ(merged.vector_index, 4u);  // the window's end position
-  EXPECT_EQ(merged.result.input_tuples, 160u);
-  EXPECT_EQ(merged.result.qualifying_tuples, 15u);
-  EXPECT_DOUBLE_EQ(merged.result.aggregate, 1.75);
-  EXPECT_EQ(merged.counters.branches_not_taken, 80u);
-  EXPECT_EQ(merged.counters.taken_mispredictions, 3u);
-  EXPECT_EQ(merged.counters.not_taken_mispredictions, 2u);
-  EXPECT_EQ(merged.counters.l3_accesses, 7u);
-  EXPECT_EQ(merged.counters.cycles, 1'700u);
-
-  merger.Reset();
-  EXPECT_EQ(merger.count(), 0u);
-  EXPECT_EQ(merger.merged().result.input_tuples, 0u);
-}
-
 }  // namespace
 }  // namespace nipo

@@ -1,11 +1,10 @@
 /// \file storage_scan_test.cc
 /// End-to-end gates of the compressed storage layer (DESIGN.md Section
-/// 10) and the unified Execute facade:
+/// 10) and the Execute facade:
 ///
-///  1. Encodings off, the legacy entry points and Engine::Execute are
-///     bit-identical -- results AND simulated counters -- across solo
-///     baseline, progressive, sharded (1 and 4 threads) and workload
-///     paths (they are shims over the same code).
+///  1. Encodings off, Engine::Execute is bit-identical from call to call
+///     -- results AND simulated counters -- across solo baseline,
+///     progressive, sharded (1 and 4 threads) and workload paths.
 ///  2. Scans over encoded columns return exactly the plain-storage
 ///     results, with zone maps skipping whole blocks on selective
 ///     predicates over clustered data.
@@ -58,8 +57,8 @@ Engine MakeEngine(const TpchConfig& config, bool encoded) {
   return engine;
 }
 
-TEST(StorageScanTest, ShimsAndUnifiedExecuteBitIdenticalPlain) {
-  // Encodings off: the four legacy entry points must match Execute()
+TEST(StorageScanTest, RepeatedExecuteBitIdenticalPlain) {
+  // Encodings off: two Execute() calls with the same options must agree
   // bit-for-bit on results and counters (same engine, same registered
   // arrays, so the address-based cache simulation sees identical
   // addresses).
@@ -68,60 +67,53 @@ TEST(StorageScanTest, ShimsAndUnifiedExecuteBitIdenticalPlain) {
   const size_t kVectorSize = 4'096;
 
   {  // solo baseline
-    auto shim = engine.ExecuteBaseline(query, kVectorSize);
     ExecOptions options;
-    options.vector_size = kVectorSize;
-    auto unified = engine.Execute(query, options);
-    ASSERT_TRUE(shim.ok() && unified.ok());
-    const ExecReport& u = unified.ValueOrDie();
+    options.progressive.vector_size = kVectorSize;
+    auto first = engine.Execute(query, options);
+    auto second = engine.Execute(query, options);
+    ASSERT_TRUE(first.ok() && second.ok());
+    const ExecReport& u = second.ValueOrDie();
     EXPECT_EQ(u.mode, ExecMode::kBaseline);
     EXPECT_EQ(u.driver, ExecDriver::kSolo);
-    EXPECT_EQ(shim.ValueOrDie().drive.total, u.counters);
-    EXPECT_EQ(shim.ValueOrDie().drive.aggregate, u.aggregate);
-    EXPECT_EQ(shim.ValueOrDie().drive.qualifying_tuples,
-              u.qualifying_tuples);
+    EXPECT_EQ(first.ValueOrDie().counters, u.counters);
+    EXPECT_EQ(first.ValueOrDie().aggregate, u.aggregate);
+    EXPECT_EQ(first.ValueOrDie().qualifying_tuples, u.qualifying_tuples);
     EXPECT_EQ(u.zone_skipped_tuples, 0u);  // plain storage never skips
   }
   {  // solo progressive
-    ProgressiveConfig config;
-    config.vector_size = kVectorSize;
-    config.reopt_interval = 5;
-    auto shim = engine.ExecuteProgressive(query, config);
     ExecOptions options;
     options.mode = ExecMode::kProgressive;
-    options.progressive = config;
-    auto unified = engine.Execute(query, options);
-    ASSERT_TRUE(shim.ok() && unified.ok());
-    const ExecReport& u = unified.ValueOrDie();
-    EXPECT_EQ(shim.ValueOrDie().drive.total, u.counters);
-    EXPECT_EQ(shim.ValueOrDie().drive.aggregate, u.aggregate);
-    EXPECT_EQ(shim.ValueOrDie().final_order, u.final_order);
+    options.progressive.vector_size = kVectorSize;
+    options.progressive.reopt_interval = 5;
+    auto first = engine.Execute(query, options);
+    auto second = engine.Execute(query, options);
+    ASSERT_TRUE(first.ok() && second.ok());
+    const ExecReport& u = second.ValueOrDie();
+    EXPECT_EQ(first.ValueOrDie().counters, u.counters);
+    EXPECT_EQ(first.ValueOrDie().aggregate, u.aggregate);
+    EXPECT_EQ(first.ValueOrDie().final_order, u.final_order);
     ASSERT_TRUE(u.progressive.has_value());
-    EXPECT_EQ(shim.ValueOrDie().changes.size(),
+    EXPECT_EQ(first.ValueOrDie().progressive->changes.size(),
               u.progressive->changes.size());
   }
   for (const size_t threads : {size_t{1}, size_t{4}}) {  // sharded
-    ParallelOptions par;
-    par.num_threads = threads;
-    par.morsel_size = kVectorSize;
-    auto shim = engine.ExecuteBaselineParallel(query, par);
     ExecOptions options;
     options.driver = ExecDriver::kSharded;
     options.num_threads = threads;
-    options.vector_size = kVectorSize;
-    auto unified = engine.Execute(query, options);
-    ASSERT_TRUE(shim.ok() && unified.ok());
-    const ExecReport& u = unified.ValueOrDie();
+    options.progressive.vector_size = kVectorSize;
+    auto first = engine.Execute(query, options);
+    auto second = engine.Execute(query, options);
+    ASSERT_TRUE(first.ok() && second.ok());
+    const ExecReport& u = second.ValueOrDie();
     EXPECT_EQ(u.driver, ExecDriver::kSharded);
     if (threads == 1) {
       // Work stealing at >1 thread is timing-dependent, so per-worker
       // predictor state (hence merged mispredictions/cycles) is only
       // pinned for the single-worker shard.
-      EXPECT_EQ(shim.ValueOrDie().drive.merged.total, u.counters);
+      EXPECT_EQ(first.ValueOrDie().counters, u.counters);
     }
-    EXPECT_EQ(shim.ValueOrDie().drive.merged.aggregate, u.aggregate);
-    EXPECT_EQ(shim.ValueOrDie().drive.merged.qualifying_tuples,
-              u.qualifying_tuples);
+    EXPECT_EQ(first.ValueOrDie().aggregate, u.aggregate);
+    EXPECT_EQ(first.ValueOrDie().qualifying_tuples, u.qualifying_tuples);
   }
   {  // workload
     WorkloadSpec spec;
@@ -135,16 +127,16 @@ TEST(StorageScanTest, ShimsAndUnifiedExecuteBitIdenticalPlain) {
     }
     spec.options.num_threads = 2;
     spec.options.max_concurrent = 2;
-    auto shim = engine.ExecuteWorkload(spec);
-    auto unified = engine.Execute(spec);
-    ASSERT_TRUE(shim.ok() && unified.ok());
-    ASSERT_EQ(shim.ValueOrDie().queries.size(),
-              unified.ValueOrDie().queries.size());
+    auto first = engine.Execute(spec);
+    auto second = engine.Execute(spec);
+    ASSERT_TRUE(first.ok() && second.ok());
+    ASSERT_EQ(first.ValueOrDie().queries.size(),
+              second.ValueOrDie().queries.size());
     for (size_t i = 0; i < spec.queries.size(); ++i) {
-      EXPECT_EQ(shim.ValueOrDie().queries[i].drive.total,
-                unified.ValueOrDie().queries[i].drive.total);
-      EXPECT_EQ(shim.ValueOrDie().queries[i].drive.aggregate,
-                unified.ValueOrDie().queries[i].drive.aggregate);
+      EXPECT_EQ(first.ValueOrDie().queries[i].drive.total,
+                second.ValueOrDie().queries[i].drive.total);
+      EXPECT_EQ(first.ValueOrDie().queries[i].drive.aggregate,
+                second.ValueOrDie().queries[i].drive.aggregate);
     }
   }
 }
@@ -158,7 +150,7 @@ TEST(StorageScanTest, EncodedScanMatchesPlainWithZoneSkipping) {
 
   QuerySpec query = Q6Query();
   ExecOptions options;
-  options.vector_size = 4'096;
+  options.progressive.vector_size = 4'096;
 
   auto p = plain.Execute(query, options);
   auto e = encoded.Execute(query, options);
@@ -200,7 +192,7 @@ TEST(StorageScanTest, ZoneSkippingConsistentAcrossDrivers) {
   const size_t kSize = 4'096;
 
   ExecOptions solo;
-  solo.vector_size = kSize;
+  solo.progressive.vector_size = kSize;
   auto solo_run = engine.Execute(query, solo);
   ASSERT_TRUE(solo_run.ok());
   const ExecReport& s = solo_run.ValueOrDie();
@@ -210,7 +202,7 @@ TEST(StorageScanTest, ZoneSkippingConsistentAcrossDrivers) {
     ExecOptions sharded;
     sharded.driver = ExecDriver::kSharded;
     sharded.num_threads = threads;
-    sharded.vector_size = kSize;
+    sharded.progressive.vector_size = kSize;
     auto run = engine.Execute(query, sharded);
     ASSERT_TRUE(run.ok());
     EXPECT_EQ(run.ValueOrDie().qualifying_tuples, s.qualifying_tuples);
@@ -238,7 +230,7 @@ TEST(StorageScanTest, FkProbeAndPayloadOverEncodedStorage) {
   };
 
   ExecOptions options;
-  options.vector_size = 4'096;
+  options.progressive.vector_size = 4'096;
   auto p = plain.Execute(build_query(plain), options);
   auto e = encoded.Execute(build_query(encoded), options);
   ASSERT_TRUE(p.ok() && e.ok());
@@ -307,7 +299,7 @@ TEST(StorageScanTest, ProgressiveSeesZoneSkipping) {
   const QuerySpec query = Q6Query();
 
   ExecOptions base;
-  base.vector_size = 4'096;
+  base.progressive.vector_size = 4'096;
   auto baseline = engine.Execute(query, base);
   ASSERT_TRUE(baseline.ok());
 

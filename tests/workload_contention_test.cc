@@ -129,15 +129,15 @@ WorkloadSpec MakeMixedWorkload(const Engine& engine) {
 
 /// Solo single-threaded reference for one workload entry.
 DriveResult SoloDrive(const Engine& engine, const WorkloadQuery& q) {
-  if (q.progressive) {
-    auto r = engine.ExecuteProgressive(q.query, q.config, q.initial_order);
-    EXPECT_TRUE(r.ok());
-    return r.ValueOrDie().drive;
-  }
-  auto r =
-      engine.ExecuteBaseline(q.query, q.config.vector_size, q.initial_order);
+  ExecOptions options;
+  options.mode = q.progressive ? ExecMode::kProgressive : ExecMode::kBaseline;
+  options.driver = ExecDriver::kSolo;
+  options.progressive = q.config;
+  options.order = q.initial_order;
+  auto r = engine.Execute(q.query, options);
   EXPECT_TRUE(r.ok());
-  return r.ValueOrDie().drive;
+  const ExecReport& report = r.ValueOrDie();
+  return q.progressive ? report.progressive->drive : report.baseline->drive;
 }
 
 TEST(WorkloadContentionTest, ContentionOffKeepsSoloBitEquality) {
@@ -146,7 +146,7 @@ TEST(WorkloadContentionTest, ContentionOffKeepsSoloBitEquality) {
   spec.options.num_threads = 4;
   spec.options.max_concurrent = 4;
   spec.options.contention = false;  // the PR-4 contract, explicitly
-  auto result = engine.ExecuteWorkload(spec);
+  auto result = engine.Execute(spec);
   ASSERT_TRUE(result.ok());
   const WorkloadReport& report = result.ValueOrDie();
   EXPECT_FALSE(report.contention);
@@ -177,7 +177,7 @@ TEST(WorkloadContentionTest, SingleQueryUnderContentionMatchesSolo) {
     spec.options.max_concurrent = 8;
     spec.options.contention = true;
     spec.options.audit_contention = true;
-    auto result = engine.ExecuteWorkload(spec);
+    auto result = engine.Execute(spec);
     ASSERT_TRUE(result.ok());
     const WorkloadReport& report = result.ValueOrDie();
     const DriveResult solo = SoloDrive(engine, spec.queries[0]);
@@ -206,7 +206,7 @@ TEST(WorkloadContentionTest, CoScheduledReuseQueriesEachSufferMoreL3Misses) {
   spec.options.num_threads = 2;
   spec.options.max_concurrent = 2;
   spec.options.contention = true;
-  auto result = engine.ExecuteWorkload(spec);
+  auto result = engine.Execute(spec);
   ASSERT_TRUE(result.ok());
   const WorkloadReport& report = result.ValueOrDie();
   EXPECT_GT(report.shared_l3_lines_displaced, 0u);
@@ -237,7 +237,7 @@ TEST(WorkloadContentionTest, OccupancyAndEvictionAccountingAuditsClean) {
   // Per-quantum NIPO_CHECK inside the driver: per-owner occupancy sums to
   // the occupied line count, displaced lines equal charged evictions.
   spec.options.audit_contention = true;
-  auto result = engine.ExecuteWorkload(spec);
+  auto result = engine.Execute(spec);
   ASSERT_TRUE(result.ok());
   const WorkloadReport& report = result.ValueOrDie();
   const uint64_t capacity =
@@ -270,9 +270,9 @@ TEST(WorkloadContentionTest, ContendedRunsAreDeterministic) {
   for (size_t max_concurrent : {size_t{1}, size_t{2}, size_t{8}}) {
     spec.options.max_concurrent = max_concurrent;
     spec.options.num_threads = max_concurrent;
-    auto first = engine.ExecuteWorkload(spec);
+    auto first = engine.Execute(spec);
     ASSERT_TRUE(first.ok());
-    auto second = engine.ExecuteWorkload(spec);
+    auto second = engine.Execute(spec);
     ASSERT_TRUE(second.ok());
     const WorkloadReport& a = first.ValueOrDie();
     const WorkloadReport& b = second.ValueOrDie();
@@ -297,7 +297,7 @@ TEST(WorkloadContentionTest, LiveContendedScheduleMatchesReplay) {
   spec.options.num_threads = 3;
   spec.options.max_concurrent = 2;
   spec.options.contention = true;
-  auto result = engine.ExecuteWorkload(spec);
+  auto result = engine.Execute(spec);
   ASSERT_TRUE(result.ok());
   const WorkloadReport& report = result.ValueOrDie();
   // The contended executor IS the event loop, so replaying the recorded
@@ -331,7 +331,7 @@ TEST(WorkloadContentionTest, SerializedContentionStillInterferes) {
   spec.options.max_concurrent = 1;
   spec.options.contention = true;
   spec.options.audit_contention = true;
-  auto result = engine.ExecuteWorkload(spec);
+  auto result = engine.Execute(spec);
   ASSERT_TRUE(result.ok());
   const WorkloadReport& report = result.ValueOrDie();
   EXPECT_EQ(report.peak_in_flight, 1u);

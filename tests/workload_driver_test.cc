@@ -11,8 +11,8 @@
 // Coverage for multi-query workload execution (DESIGN.md "Workload
 // execution"):
 //  - deterministic mode: every query's results AND counters are
-//    bit-identical to running it alone through ExecuteBaseline /
-//    ExecuteProgressive, for any max_concurrent and worker count;
+//    bit-identical to running it alone through Execute(QuerySpec) on the
+//    solo driver, for any max_concurrent and worker count;
 //  - the whole report (per-query counters, simulated schedule, makespan)
 //    is stable across max_concurrent in {1, 2, 8} and across repeated
 //    runs under racing worker schedules;
@@ -128,21 +128,20 @@ WorkloadSpec MakeMixedWorkload(const Engine& engine) {
   return spec;
 }
 
-/// Solo single-threaded reference for query `q`: ExecuteBaseline or
-/// ExecuteProgressive, whichever the workload entry asks for.
+/// Solo single-threaded reference for query `q`, in the mode the
+/// workload entry asks for.
 DriveResult SoloDrive(const Engine& engine, const WorkloadQuery& q,
                       std::vector<size_t>* final_order = nullptr) {
-  if (q.progressive) {
-    auto r = engine.ExecuteProgressive(q.query, q.config, q.initial_order);
-    EXPECT_TRUE(r.ok());
-    if (final_order != nullptr) *final_order = r.ValueOrDie().final_order;
-    return r.ValueOrDie().drive;
-  }
-  auto r =
-      engine.ExecuteBaseline(q.query, q.config.vector_size, q.initial_order);
+  ExecOptions options;
+  options.mode = q.progressive ? ExecMode::kProgressive : ExecMode::kBaseline;
+  options.driver = ExecDriver::kSolo;
+  options.progressive = q.config;
+  options.order = q.initial_order;
+  auto r = engine.Execute(q.query, options);
   EXPECT_TRUE(r.ok());
-  if (final_order != nullptr) *final_order = r.ValueOrDie().order;
-  return r.ValueOrDie().drive;
+  const ExecReport& report = r.ValueOrDie();
+  if (final_order != nullptr) *final_order = report.final_order;
+  return q.progressive ? report.progressive->drive : report.baseline->drive;
 }
 
 TEST(WorkloadDriverTest, DeterministicModeIsBitIdenticalToSoloRuns) {
@@ -151,7 +150,7 @@ TEST(WorkloadDriverTest, DeterministicModeIsBitIdenticalToSoloRuns) {
   spec.options.max_concurrent = 8;
   for (size_t threads : TestThreadCounts()) {
     spec.options.num_threads = threads;
-    auto result = engine.ExecuteWorkload(spec);
+    auto result = engine.Execute(spec);
     ASSERT_TRUE(result.ok());
     const WorkloadReport& report = result.ValueOrDie();
     ASSERT_EQ(report.queries.size(), spec.queries.size());
@@ -188,7 +187,7 @@ TEST(WorkloadDriverTest, RecycledMachinesBoundConstructionAndMatchSolo) {
       ASSERT_GE(spec.queries.size(), 4 * max_concurrent);
       spec.options.num_threads = threads;
       spec.options.max_concurrent = max_concurrent;
-      auto result = engine.ExecuteWorkload(spec);
+      auto result = engine.Execute(spec);
       ASSERT_TRUE(result.ok());
       const WorkloadReport& report = result.ValueOrDie();
       EXPECT_GE(report.machines_built, 1u);
@@ -208,7 +207,7 @@ TEST(WorkloadDriverTest, RecycledMachinesBoundConstructionAndMatchSolo) {
   // Warm slot machines come from the same pool: one per slot at most.
   spec.options.deterministic = false;
   spec.options.max_concurrent = 2;
-  auto warm = engine.ExecuteWorkload(spec);
+  auto warm = engine.Execute(spec);
   ASSERT_TRUE(warm.ok());
   EXPECT_LE(warm.ValueOrDie().machines_built, 2u);
 }
@@ -219,7 +218,7 @@ TEST(WorkloadDriverTest, ReportIsStableAcrossMaxConcurrentAndRuns) {
   // Reference: fully serial (one slot, one worker).
   spec.options.num_threads = 1;
   spec.options.max_concurrent = 1;
-  auto serial = engine.ExecuteWorkload(spec);
+  auto serial = engine.Execute(spec);
   ASSERT_TRUE(serial.ok());
   const WorkloadReport& ref = serial.ValueOrDie();
   EXPECT_EQ(ref.peak_in_flight, 1u);
@@ -228,7 +227,7 @@ TEST(WorkloadDriverTest, ReportIsStableAcrossMaxConcurrentAndRuns) {
       for (int run = 0; run < 2; ++run) {
         spec.options.num_threads = threads;
         spec.options.max_concurrent = max_concurrent;
-        auto result = engine.ExecuteWorkload(spec);
+        auto result = engine.Execute(spec);
         ASSERT_TRUE(result.ok());
         const WorkloadReport& report = result.ValueOrDie();
         EXPECT_LE(report.peak_in_flight, max_concurrent);
@@ -264,7 +263,7 @@ TEST(WorkloadDriverTest, SimulatedScheduleIsConcurrentOnlyWhenAdmitted) {
   // max_concurrent = 1: admission serializes the simulated schedule FIFO
   // regardless of the pool width.
   spec.options.max_concurrent = 1;
-  auto serialized = engine.ExecuteWorkload(spec);
+  auto serialized = engine.Execute(spec);
   ASSERT_TRUE(serialized.ok());
   const WorkloadReport& one = serialized.ValueOrDie();
   EXPECT_EQ(one.peak_in_flight, 1u);
@@ -277,7 +276,7 @@ TEST(WorkloadDriverTest, SimulatedScheduleIsConcurrentOnlyWhenAdmitted) {
   // every slot open all queries are dispatched at t = 0-plus-queueing on
   // the 4 simulated cores.
   spec.options.max_concurrent = 8;
-  auto open = engine.ExecuteWorkload(spec);
+  auto open = engine.Execute(spec);
   ASSERT_TRUE(open.ok());
   const WorkloadReport& eight = open.ValueOrDie();
   EXPECT_EQ(eight.peak_in_flight, 8u);
@@ -315,7 +314,7 @@ TEST(WorkloadDriverTest, WarmModeKeepsResultsScheduleIndependent) {
   spec.options.deterministic = false;
   spec.options.num_threads = TestThreadCounts().back();
   spec.options.max_concurrent = 2;
-  auto result = engine.ExecuteWorkload(spec);
+  auto result = engine.Execute(spec);
   ASSERT_TRUE(result.ok());
   const WorkloadReport& report = result.ValueOrDie();
   for (size_t i = 0; i < spec.queries.size(); ++i) {
@@ -336,7 +335,7 @@ TEST(WorkloadDriverTest, ProgressiveQueriesReoptimizeIndependently) {
   WorkloadSpec spec = MakeMixedWorkload(engine);
   spec.options.num_threads = 2;
   spec.options.max_concurrent = 8;
-  auto result = engine.ExecuteWorkload(spec);
+  auto result = engine.Execute(spec);
   ASSERT_TRUE(result.ok());
   const WorkloadReport& report = result.ValueOrDie();
   // The worst-first progressive scans must each discover the selective
@@ -362,28 +361,28 @@ TEST(WorkloadDriverTest, ProgressiveQueriesReoptimizeIndependently) {
 TEST(WorkloadDriverTest, ErrorsPropagate) {
   Engine engine = MakeWorkloadEngine();
   WorkloadSpec spec;
-  EXPECT_EQ(engine.ExecuteWorkload(spec).status().code(),
+  EXPECT_EQ(engine.Execute(spec).status().code(),
             StatusCode::kInvalidArgument);  // empty workload
   spec = MakeMixedWorkload(engine);
   spec.options.num_threads = 0;
-  EXPECT_EQ(engine.ExecuteWorkload(spec).status().code(),
+  EXPECT_EQ(engine.Execute(spec).status().code(),
             StatusCode::kInvalidArgument);
   spec.options.num_threads = 2;
   spec.options.max_concurrent = 0;
-  EXPECT_EQ(engine.ExecuteWorkload(spec).status().code(),
+  EXPECT_EQ(engine.Execute(spec).status().code(),
             StatusCode::kInvalidArgument);
   spec.options.max_concurrent = 2;
   spec.options.burst_vectors = 0;
-  EXPECT_EQ(engine.ExecuteWorkload(spec).status().code(),
+  EXPECT_EQ(engine.Execute(spec).status().code(),
             StatusCode::kInvalidArgument);
   spec.options.burst_vectors = 1;
   // A bad query anywhere in the queue fails the whole workload up front.
   spec.queries[3].query.table = "missing";
-  EXPECT_EQ(engine.ExecuteWorkload(spec).status().code(),
+  EXPECT_EQ(engine.Execute(spec).status().code(),
             StatusCode::kNotFound);
   spec = MakeMixedWorkload(engine);
   spec.queries[5].initial_order = std::vector<size_t>{0, 0};
-  EXPECT_FALSE(engine.ExecuteWorkload(spec).ok());
+  EXPECT_FALSE(engine.Execute(spec).ok());
 }
 
 TEST(WorkloadDriverTest, BurstVectorsDoNotChangeCountersOrSchedulePolicy) {
@@ -391,10 +390,10 @@ TEST(WorkloadDriverTest, BurstVectorsDoNotChangeCountersOrSchedulePolicy) {
   WorkloadSpec spec = MakeMixedWorkload(engine);
   spec.options.num_threads = 2;
   spec.options.max_concurrent = 4;
-  auto fine = engine.ExecuteWorkload(spec);
+  auto fine = engine.Execute(spec);
   ASSERT_TRUE(fine.ok());
   spec.options.burst_vectors = 8;  // coarser quanta, fewer yields
-  auto coarse = engine.ExecuteWorkload(spec);
+  auto coarse = engine.Execute(spec);
   ASSERT_TRUE(coarse.ok());
   for (size_t i = 0; i < spec.queries.size(); ++i) {
     EXPECT_EQ(fine.ValueOrDie().queries[i].drive.total,
